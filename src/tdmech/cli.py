@@ -22,6 +22,8 @@ import numpy as np
 from .bundle import JetPoint, VerticalPhasePoint, HomogeneousPhasePoint, p_names, v_names, y_names
 from .config import SystemConfig, load_config
 from .constraints import (
+    ASSOCIATION_TOLERANCE,
+    CONSTRAINT_TOLERANCE,
     ConstraintSpace,
     association_check,
     constrained_hamilton_residual,
@@ -31,6 +33,7 @@ from .currents import weak_identity_residual
 from .errors import InputError, MechanicsError
 from .expr import parse as parse_expression
 from .hamilton import (
+    CANONICAL_TOLERANCE,
     CanonicalTransform,
     HamiltonianForm,
     canonical_check,
@@ -49,9 +52,6 @@ from .relativity import (
 
 DRIFT_TOLERANCE = 1e-7
 WEAK_IDENTITY_TOLERANCE = 1e-5
-CANONICAL_TOLERANCE = 1e-8
-ASSOCIATION_TOLERANCE = 1e-8
-CONSTRAINT_TOLERANCE = 1e-6
 
 
 def _format_row(values) -> str:

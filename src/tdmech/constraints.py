@@ -20,6 +20,7 @@ from .bundle import (
     JetPoint,
     RepeatedJetPoint,
     VerticalPhasePoint,
+    jet_bindings,
     phase_bindings,
     phase_vars,
 )
@@ -143,8 +144,6 @@ def association_check(
         worst_map = max(worst_map, float(np.max(np.abs(again.p - once.p))))
 
     worst_energy = 0.0
-    from .bundle import jet_bindings
-
     for q in phases:
         h_val, h_grad = value_gradient(H.expr, phase_vars(n), phase_bindings(q))
         velocities = h_grad[n + 1 :]

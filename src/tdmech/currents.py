@@ -26,7 +26,7 @@ from .errors import InputError, OffShellTrajectory
 from .expr import Expression, value_gradient
 from .hamilton import HamiltonianForm
 from .integrate import Trajectory, difference_quotients
-from .lagrange import Lagrangian, _Derivatives
+from .lagrange import Lagrangian, _Derivatives, _el_residual_with_rates
 
 ON_SHELL_TOLERANCE = 1e-5
 
@@ -52,14 +52,24 @@ def _field_values(u: Sequence[Expression], t: float, y: np.ndarray, n: int):
     return values, jac
 
 
+def _current_and_lie(
+    d: _Derivatives, u_t: float, u: Sequence[Expression], t: float, y: np.ndarray, v: np.ndarray
+) -> tuple[float, float]:
+    """Current and Lie derivative of L along the prolonged field at one jet."""
+    values, jac = _field_values(u, t, y, y.size)
+    rates = jac[:, 0] + jac[:, 1:] @ v
+    current = float(d.grad_v @ (u_t * v - values)) - u_t * d.value
+    lie = u_t * d.grad_t + float(values @ d.grad_y) + float(rates @ d.grad_v)
+    return current, lie
+
+
 def symmetry_current(L: Lagrangian, u_t: float, u: Sequence[Expression], j: JetPoint) -> float:
     """Current carried by a symmetry candidate: ``pi (u^t v - u) - u^t L``."""
     u_t = _validate_field(u_t, u, L.n)
     if j.n != L.n:
         raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
     d = _Derivatives(L, j.t, j.y, j.v)
-    values, _ = _field_values(u, j.t, j.y, L.n)
-    return float(d.grad_v @ (u_t * j.v - values)) - u_t * d.value
+    return _current_and_lie(d, u_t, u, j.t, j.y, j.v)[0]
 
 
 def energy_function(L: Lagrangian, frame: ReferenceFrame, j: JetPoint) -> float:
@@ -78,9 +88,7 @@ def lie_derivative(L: Lagrangian, u_t: float, u: Sequence[Expression], j: JetPoi
     if j.n != L.n:
         raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
     d = _Derivatives(L, j.t, j.y, j.v)
-    values, jac = _field_values(u, j.t, j.y, L.n)
-    rates = jac[:, 0] + jac[:, 1:] @ j.v
-    return u_t * d.grad_t + float(values @ d.grad_y) + float(rates @ d.grad_v)
+    return _current_and_lie(d, u_t, u, j.t, j.y, j.v)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,16 +135,12 @@ def weak_identity_residual(
     for k, (t, state) in enumerate(zip(traj.times, traj.states)):
         y, v = state[:n], state[n:]
         d = _Derivatives(L, t, y, v)
-        defect = d.grad_y - (d.tv + v @ d.yv + accelerations[k] @ d.vv)
-        if float(np.max(np.abs(defect))) > ON_SHELL_TOLERANCE:
+        defect = float(np.max(np.abs(_el_residual_with_rates(d, v, accelerations[k]))))
+        if defect > ON_SHELL_TOLERANCE:
             raise OffShellTrajectory(
-                f"sample {k} at t={t} violates the equations of motion by "
-                f"{float(np.max(np.abs(defect))):.3e}"
+                f"sample {k} at t={t} violates the equations of motion by {defect:.3e}"
             )
-        field_values, jac = _field_values(u, t, y, n)
-        rates = jac[:, 0] + jac[:, 1:] @ v
-        values[k] = float(d.grad_v @ (u_t * v - field_values)) - u_t * d.value
-        lie_values[k] = u_t * d.grad_t + float(field_values @ d.grad_y) + float(rates @ d.grad_v)
+        values[k], lie_values[k] = _current_and_lie(d, u_t, u, t, y, v)
 
     residuals = np.abs(lie_values + difference_quotients(values, traj.dt))
     return CurrentReport(values, residuals, lie_values)

@@ -13,21 +13,23 @@ Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; the function names sin, cos,
 tan, exp, log and sqrt are reserved.  Numeric literals are decimal with an
 optional fraction and exponent.
 
-Trees are immutable.  Evaluation is pure and runs over three scalar
-carriers: plain floats, first-order dual numbers (gradients) and
-second-order dual numbers (Hessians), so derivatives are exact to machine
-rounding rather than approximated.  Integer exponents are expanded by
-repeated multiplication, so negative bases are fine there; any other
-exponent requires a positive base.  Central finite differences live at the
-bottom of this module as an independent cross-check of the dual-number
-results and share no code with them.
+Trees are immutable and evaluate over plain floats.  Derivatives are
+exact to machine rounding rather than approximated: each gradient entry is
+a symbolic derivative tree (:func:`differentiate`) evaluated at the point,
+and each Hessian entry is the derivative of a gradient tree.  An
+expression builds its derivative trees on first use and keeps them.
+Integer exponents are expanded by repeated multiplication, so negative
+bases are fine there; any other exponent requires a positive base.
+Central finite differences live at the bottom of this module as an
+independent cross-check of the derivative trees and share no code with
+them.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -311,6 +313,12 @@ class Expression:
 
     root: Node
     free_vars: tuple[str, ...]
+    # Derivative trees per variables tuple, filled on first use by
+    # value_gradient and value_gradient_hessian.  Equality and hashing stay
+    # those of the tree.
+    _derivative_trees: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __str__(self) -> str:
         return to_source(self.root)
@@ -365,187 +373,27 @@ def substitute(expr: Expression, replacements: Mapping[str, Expression | Node]) 
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers (forward mode)
+# Evaluation
 
 
-class Dual:
-    """Value plus first derivatives, propagated through arithmetic."""
-
-    __slots__ = ("v", "g")
-
-    def __init__(self, v: float, g: tuple):
-        self.v = v
-        self.g = g
-
-    def chain(self, value: float, slope: float) -> "Dual":
-        return Dual(value, tuple(slope * a for a in self.g))
-
-    def __add__(self, other):
-        if type(other) is Dual:
-            return Dual(self.v + other.v, tuple(a + b for a, b in zip(self.g, other.g)))
-        return Dual(self.v + other, self.g)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is Dual:
-            return Dual(self.v - other.v, tuple(a - b for a, b in zip(self.g, other.g)))
-        return Dual(self.v - other, self.g)
-
-    def __rsub__(self, other):
-        return Dual(other - self.v, tuple(-a for a in self.g))
-
-    def __mul__(self, other):
-        if type(other) is Dual:
-            sv, ov = self.v, other.v
-            return Dual(sv * ov, tuple(a * ov + sv * b for a, b in zip(self.g, other.g)))
-        return Dual(self.v * other, tuple(a * other for a in self.g))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is Dual:
-            ov = other.v
-            q = self.v / ov
-            return Dual(q, tuple((a - q * b) / ov for a, b in zip(self.g, other.g)))
-        return Dual(self.v / other, tuple(a / other for a in self.g))
-
-    def __rtruediv__(self, other):
-        q = other / self.v
-        return Dual(q, tuple(-q * b / self.v for b in self.g))
-
-    def __neg__(self):
-        return Dual(-self.v, tuple(-a for a in self.g))
-
-
-class Dual2:
-    """Value plus first and second derivatives (full symmetric Hessian)."""
-
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v: float, g: tuple, h: tuple):
-        self.v = v
-        self.g = g
-        self.h = h  # tuple of row tuples
-
-    def chain(self, value: float, slope: float, curve: float) -> "Dual2":
-        g = self.g
-        new_h = tuple(
-            tuple(curve * g[i] * g[j] + slope * self.h[i][j] for j in range(len(g)))
-            for i in range(len(g))
-        )
-        return Dual2(value, tuple(slope * a for a in g), new_h)
-
-    def __add__(self, other):
-        if type(other) is Dual2:
-            h = tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.h, other.h)
-            )
-            return Dual2(self.v + other.v, tuple(a + b for a, b in zip(self.g, other.g)), h)
-        return Dual2(self.v + other, self.g, self.h)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is Dual2:
-            h = tuple(
-                tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.h, other.h)
-            )
-            return Dual2(self.v - other.v, tuple(a - b for a, b in zip(self.g, other.g)), h)
-        return Dual2(self.v - other, self.g, self.h)
-
-    def __rsub__(self, other):
-        h = tuple(tuple(-a for a in row) for row in self.h)
-        return Dual2(other - self.v, tuple(-a for a in self.g), h)
-
-    def __mul__(self, other):
-        if type(other) is Dual2:
-            sv, ov = self.v, other.v
-            sg, og = self.g, other.g
-            k = len(sg)
-            h = tuple(
-                tuple(
-                    self.h[i][j] * ov + sg[i] * og[j] + sg[j] * og[i] + sv * other.h[i][j]
-                    for j in range(k)
-                )
-                for i in range(k)
-            )
-            return Dual2(sv * ov, tuple(a * ov + sv * b for a, b in zip(sg, og)), h)
-        h = tuple(tuple(a * other for a in row) for row in self.h)
-        return Dual2(self.v * other, tuple(a * other for a in self.g), h)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is Dual2:
-            ov = other.v
-            q = self.v / ov
-            og = other.g
-            g = tuple((a - q * b) / ov for a, b in zip(self.g, og))
-            k = len(g)
-            h = tuple(
-                tuple(
-                    (self.h[i][j] - g[i] * og[j] - g[j] * og[i] - q * other.h[i][j]) / ov
-                    for j in range(k)
-                )
-                for i in range(k)
-            )
-            return Dual2(q, g, h)
-        h = tuple(tuple(a / other for a in row) for row in self.h)
-        return Dual2(self.v / other, tuple(a / other for a in self.g), h)
-
-    def __rtruediv__(self, other):
-        ov = self.v
-        q = other / ov
-        og = self.g
-        g = tuple(-q * b / ov for b in og)
-        k = len(g)
-        h = tuple(
-            tuple((-g[i] * og[j] - g[j] * og[i] - q * self.h[i][j]) / ov for j in range(k))
-            for i in range(k)
-        )
-        return Dual2(q, g, h)
-
-    def __neg__(self):
-        h = tuple(tuple(-a for a in row) for row in self.h)
-        return Dual2(-self.v, tuple(-a for a in self.g), h)
-
-
-def _tan_slope(v: float) -> float:
-    t = math.tan(v)
-    return 1.0 + t * t
-
-
-# (value, slope, curvature) for each unary function.
-_UNARY_TABLE: dict[str, tuple[Callable, Callable, Callable]] = {
-    "sin": (math.sin, math.cos, lambda v: -math.sin(v)),
-    "cos": (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v)),
-    "tan": (math.tan, _tan_slope, lambda v: 2.0 * math.tan(v) * _tan_slope(v)),
-    "exp": (math.exp, math.exp, math.exp),
-    "log": (math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
-    "sqrt": (
-        math.sqrt,
-        lambda v: 0.5 / math.sqrt(v),
-        lambda v: -0.25 / (v * math.sqrt(v)),
-    ),
+_UNARY_TABLE: dict[str, Callable[[float], float]] = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
 }
 
 
-def _apply_unary(op: str, x, node: Node):
-    value_fn, slope_fn, curve_fn = _UNARY_TABLE[op]
+def _apply_unary(op: str, x: float, node: Node) -> float:
     try:
-        t = type(x)
-        if t is float:
-            return value_fn(x)
-        v = x.v
-        if t is Dual:
-            return x.chain(value_fn(v), slope_fn(v))
-        return x.chain(value_fn(v), slope_fn(v), curve_fn(v))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return _UNARY_TABLE[op](x)
+    except (ValueError, OverflowError) as exc:
         raise DomainError(f"{op}: {exc}", to_source(node)) from None
 
 
-def _int_pow(base, n: int, node: Node):
+def _int_pow(base: float, n: int, node: Node) -> float:
     if n == 0:
         return 1.0
     positive = abs(n)
@@ -560,21 +408,17 @@ def _int_pow(base, n: int, node: Node):
     return acc
 
 
-def _pow(base, exponent, node: Node):
-    # A plain-float exponent carries no derivatives, so an integer value
-    # selects the repeated-multiplication route (valid for any base).
+def _pow(base: float, exponent: float, node: Node) -> float:
+    # An integer exponent selects repeated multiplication, valid for any base.
     if type(exponent) is float and exponent.is_integer() and abs(exponent) <= 1024:
         return _int_pow(base, int(exponent), node)
-    base_value = base if type(base) is float else base.v
-    if base_value <= 0.0:
-        raise DomainError(
-            "non-integer or varying exponent requires a positive base", to_source(node)
-        )
+    if base <= 0.0:
+        raise DomainError("non-integer exponent requires a positive base", to_source(node))
     log_base = _apply_unary("log", base, node)
     return _apply_unary("exp", exponent * log_base, node)
 
 
-def _eval(node: Node, env: Mapping[str, object]):
+def _eval(node: Node, env: Mapping[str, float]) -> float:
     cls = node.__class__
     if cls is Var:
         try:
@@ -605,59 +449,74 @@ def _eval(node: Node, env: Mapping[str, object]):
         raise DomainError("division by zero", to_source(node)) from None
 
 
-def _seeded_env(
-    variables: Sequence[str],
-    bindings: Mapping[str, float],
-    order: int,
-) -> dict:
-    k = len(variables)
-    env: dict[str, object] = {}
-    for name, value in bindings.items():
-        env[name] = float(value)
-    zero_row = (0.0,) * k
-    for i, name in enumerate(variables):
-        try:
-            value = float(bindings[name])
-        except KeyError:
-            raise UnboundVariableError(name) from None
-        seed = tuple(1.0 if j == i else 0.0 for j in range(k))
-        if order == 1:
-            env[name] = Dual(value, seed)
-        else:
-            env[name] = Dual2(value, seed, tuple(zero_row for _ in range(k)))
+def _derivative_env(variables: Sequence[str], bindings: Mapping[str, float]) -> dict[str, float]:
+    env = {name: float(value) for name, value in bindings.items()}
+    for name in variables:
+        if name not in env:
+            raise UnboundVariableError(name)
     return env
+
+
+def _trees(expr: Expression, variables: tuple[str, ...], hessian: bool) -> list:
+    """Cached ``[gradient trees, upper-triangle Hessian rows]`` of ``expr``.
+
+    The rows are ``None`` until a call asks for the Hessian.
+    """
+    entry = expr._derivative_trees.get(variables)
+    if entry is None:
+        gradient = tuple(_derivative(expr.root, name) for name in variables)
+        entry = expr._derivative_trees[variables] = [gradient, None]
+    if hessian and entry[1] is None:
+        entry[1] = tuple(
+            tuple(_derivative(tree, name) for name in variables[i:])
+            for i, tree in enumerate(entry[0])
+        )
+    return entry
 
 
 def value_gradient(
     expr: Expression, variables: Sequence[str], bindings: Mapping[str, float]
 ) -> tuple[float, np.ndarray]:
-    """Value and exact gradient in one forward pass."""
-    result = _eval(expr.root, _seeded_env(variables, bindings, order=1))
-    if type(result) is Dual:
-        return result.v, np.array(result.g, dtype=float)
-    return float(result), np.zeros(len(variables))
+    """Value and exact gradient at a point.
+
+    Gradient entry ``i`` evaluates the symbolic derivative of the tree with
+    respect to ``variables[i]``.  The derivative trees are built on the
+    first call for a variables tuple and kept on the expression.  Every
+    differentiation variable must be bound, even one the expression does
+    not use.
+    """
+    variables = tuple(variables)
+    env = _derivative_env(variables, bindings)
+    gradient, _ = _trees(expr, variables, hessian=False)
+    value = float(_eval(expr.root, env))
+    return value, np.array([_eval(tree, env) for tree in gradient], dtype=float)
 
 
 def value_gradient_hessian(
     expr: Expression, variables: Sequence[str], bindings: Mapping[str, float]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian in one forward pass.
+    """Value, exact gradient and exact Hessian at a point.
 
-    The Hessian's upper triangle is computed once and mirrored, so the
-    returned matrix is symmetric to exact floating-point equality.
+    Hessian entry ``(i, j)`` evaluates the derivative of gradient tree ``i``
+    with respect to ``variables[j]``.  Only the upper triangle is evaluated
+    and it is mirrored, so the returned matrix is symmetric to exact
+    floating-point equality.
     """
+    variables = tuple(variables)
+    env = _derivative_env(variables, bindings)
+    gradient, rows = _trees(expr, variables, hessian=True)
+    value = float(_eval(expr.root, env))
+    grad = np.array([_eval(tree, env) for tree in gradient], dtype=float)
     k = len(variables)
-    result = _eval(expr.root, _seeded_env(variables, bindings, order=2))
-    if type(result) is not Dual2:
-        return float(result), np.zeros(k), np.zeros((k, k))
-    raw = np.array(result.h, dtype=float)
-    upper = np.triu(raw)
-    hessian = upper + np.triu(raw, 1).T
-    return result.v, np.array(result.g, dtype=float), hessian
+    hessian = np.empty((k, k))
+    for i, row in enumerate(rows):
+        for j, tree in enumerate(row, start=i):
+            hessian[i, j] = hessian[j, i] = _eval(tree, env)
+    return value, grad, hessian
 
 
 # ---------------------------------------------------------------------------
-# Symbolic differentiation (used to build derived coordinate maps)
+# Symbolic differentiation
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
@@ -734,12 +593,18 @@ def _derivative(node: Node, var: str) -> Node:
     if node.op == "*":
         return _add(_mul(da, b), _mul(a, db))
     if node.op == "/":
-        return _div(_sub(_mul(da, b), _mul(a, db)), Binary("^", b, Const(2.0)))
-    # Power rule; the general branch (varying exponent) uses a^b * (db*log a + b*da/a).
-    if isinstance(b, Const):
-        exponent = b.value
-        reduced = Binary("^", a, Const(exponent - 1.0))
-        return _mul(_mul(Const(exponent), reduced), da)
+        # (da - (a/b)*db)/b: no b^2, which would under- or overflow long
+        # before the derivative leaves the float range.
+        return _div(_sub(da, _mul(node, db)), b)
+    # Power rule b * a^(b-1) * da whenever the exponent does not depend on
+    # var, so a base of zero or below stays allowed for integer exponents;
+    # the general branch uses a^b * (db*log a + b*da/a).
+    if _is_const(db, 0.0):
+        if isinstance(b, Const):
+            reduced = Binary("^", a, Const(b.value - 1.0))
+        else:
+            reduced = Binary("^", a, Binary("-", b, _ONE))
+        return _mul(_mul(b, reduced), da)
     log_term = _mul(db, Unary("log", a))
     ratio_term = _mul(b, _div(da, a))
     return _mul(node, _add(log_term, ratio_term))
@@ -751,7 +616,7 @@ def differentiate(expr: Expression, var: str) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference oracles (independent of the dual-number machinery)
+# Finite-difference oracles (independent of the derivative trees)
 
 
 def fd_gradient(

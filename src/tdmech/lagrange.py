@@ -55,7 +55,7 @@ class Lagrangian:
 class _Derivatives:
     """First and second derivatives of L over (t, y, v) at one jet point."""
 
-    __slots__ = ("value", "grad_t", "grad_y", "grad_v", "tt", "ty", "tv", "yy", "yv", "vv")
+    __slots__ = ("value", "grad_t", "grad_y", "grad_v", "tv", "yv", "vv")
 
     def __init__(self, L: Lagrangian, t: float, y: np.ndarray, v: np.ndarray):
         n = L.n
@@ -70,10 +70,7 @@ class _Derivatives:
         self.grad_t = grad[0]
         self.grad_y = grad[ys]
         self.grad_v = grad[vs]
-        self.tt = hess[0, 0]
-        self.ty = hess[0, ys]
         self.tv = hess[0, vs]
-        self.yy = hess[ys, ys]
         self.yv = hess[ys, vs]  # yv[j, i] = d2 L / dy^j dv^i
         self.vv = hess[vs, vs]
 

@@ -6,8 +6,9 @@ for the extra homogeneous pair.  The jet-space bracket carries the same
 orientation through the momentum map, so ``{y^i, v^j}`` of a unit-mass
 kinetic term is ``+delta^ij`` as well.
 
-All brackets are evaluated pointwise from forward-mode gradients; nothing
-is expanded symbolically.
+All brackets are evaluated pointwise from exact gradients, which evaluate
+the symbolic derivative trees of each expression at the point; the bracket
+itself is never built as an expression.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import check_free_vars
+from .bundle import _as_vector, _finite_scalar, check_free_vars
 from .errors import AtInfinity, ChartBoundary, InputError, SpacelikeDirection
 from .expr import Expression, parse, substitute, value_gradient
 
@@ -33,22 +33,6 @@ PROJECTION_TOLERANCE = 1e-15
 @lru_cache(maxsize=None)
 def chart_vars(m: int) -> tuple[str, ...]:
     return ("z0",) + tuple(f"z{i}" for i in range(1, m + 1))
-
-
-def _finite_scalar(value: float, role: str) -> float:
-    out = float(value)
-    if not np.isfinite(out):
-        raise InputError(f"{role} must be finite")
-    return out
-
-
-def _as_vector(values, m: int, role: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if arr.shape != (m,):
-        raise InputError(f"{role} must have shape ({m},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{role} must be finite")
-    return arr
 
 
 def chart_bindings(z0: float, z: np.ndarray) -> dict[str, float]:
@@ -70,7 +54,7 @@ class SubmanifoldJet:
         object.__setattr__(self, "z0", _finite_scalar(self.z0, "z0"))
         z = np.atleast_1d(np.asarray(self.z, dtype=float))
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "v", _as_vector(self.v, z.size, "v"))
+        object.__setattr__(self, "v", _as_vector(np.atleast_1d(self.v), z.size, "v"))
         _as_vector(z, z.size, "z")
 
     @property
@@ -92,7 +76,7 @@ class TangentVector:
         z = np.atleast_1d(np.asarray(self.z, dtype=float))
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "dz0", _finite_scalar(self.dz0, "dz0"))
-        object.__setattr__(self, "dz", _as_vector(self.dz, z.size, "dz"))
+        object.__setattr__(self, "dz", _as_vector(np.atleast_1d(self.dz), z.size, "dz"))
         _as_vector(z, z.size, "z")
 
     @property

@@ -21,6 +21,7 @@ from tdmech.expr import (
     fd_hessian,
     parse,
     substitute,
+    value_gradient_hessian,
 )
 
 
@@ -182,6 +183,17 @@ class TestGradient:
         with pytest.raises(UnboundVariableError):
             parse("y1").gradient(("y1",), {})
 
+    def test_exponent_free_of_the_variable_allows_zero_base(self):
+        # The power rule applies, so no log of the base is evaluated.
+        e = parse("y1^t")
+        assert e.gradient(("y1",), {"y1": 0.0, "t": 2.0}).tolist() == [0.0]
+
+    def test_singularity_only_in_the_derivative(self):
+        e = parse("sqrt(y1)")
+        assert e.evaluate({"y1": 0.0}) == 0.0
+        with pytest.raises(DomainError):
+            e.gradient(("y1",), {"y1": 0.0})
+
 
 class TestHessian:
     def test_pinned_quadratic(self):
@@ -197,10 +209,39 @@ class TestHessian:
         oracle = fd_hessian(parse("exp(v1)*v2^2"), ("v1", "v2"), {"v1": 0.0, "v2": 1.0})
         assert np.allclose(h, oracle, atol=1e-6)
 
+    def test_quotient_far_from_unit_scale(self):
+        # The square of the denominator underflows at 1e-100 and overflows
+        # at 1e100; the second derivative 2/y1^3 does neither.
+        e = parse("1/y1")
+        for x in (1e-100, 1e100):
+            h = e.hessian(("y1",), {"y1": x})[0, 0]
+            assert h == pytest.approx(2.0 / x**3, rel=1e-12, abs=0.0)
+
     def test_exact_symmetry_on_quotients(self):
         e = parse("sin(y1*p1)/(1.5+y1^2) + exp(0.3*p1)*y1")
         h = e.hessian(("y1", "p1"), {"y1": 0.8, "p1": -0.6})
         assert np.array_equal(h, h.T)
+
+
+class TestDerivativeTreeCache:
+    SOURCE = "sin(y1*p1)/(1.5+y1^2) + exp(0.3*p1)*y1^t"
+    POINT = {"y1": 0.8, "p1": -0.6, "t": 3.0}
+
+    def test_repeated_calls_are_bit_identical(self):
+        e = parse(self.SOURCE)
+        names = ("y1", "p1")
+        first = value_gradient_hessian(e, names, self.POINT)
+        second = value_gradient_hessian(e, names, self.POINT)
+        assert first[0] == second[0]
+        assert first[1].tobytes() == second[1].tobytes()
+        assert first[2].tobytes() == second[2].tobytes()
+
+    def test_differentiated_expression_keeps_equality_and_hash(self):
+        e = parse(self.SOURCE)
+        e.hessian(("y1", "p1"), self.POINT)
+        fresh = parse(self.SOURCE)
+        assert e == fresh
+        assert hash(e) == hash(fresh)
 
 
 class TestDerivativesAgainstOracle:
@@ -232,14 +273,13 @@ class TestSymbolicDerivative:
         "source",
         ["y1^3 + 2*y1", "sin(y1)*cos(y1)", "exp(0.5*y1)/sqrt(1.2+y1^2)", "log(1.5+y1^2)", "y1^y2", "tan(0.3*y1)"],
     )
-    def test_matches_forward_mode(self, source):
+    def test_matches_finite_differences(self, source):
         e = parse(source)
         d = differentiate(e, "y1")
         for x in (0.4, 1.1, 2.0):
             point = {"y1": x, "y2": 1.7}
-            assert d.evaluate(point) == pytest.approx(
-                e.gradient(("y1",), point)[0], rel=1e-12, abs=1e-12
-            )
+            oracle = fd_gradient(e, ("y1",), point)[0]
+            assert abs(d.evaluate(point) - oracle) / max(1.0, abs(oracle)) <= 1e-6
 
     def test_derivative_of_constant(self):
         assert differentiate(parse("3 + sin(2)"), "y1").evaluate({}) == 0.0
