@@ -11,16 +11,25 @@ Grammar (infix, case sensitive)::
 "^" binds tighter than unary minus, which binds tighter than "*" and "/".
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; the function names sin, cos,
 tan, exp, log and sqrt are reserved.  Numeric literals are decimal with an
-optional fraction and exponent.
+optional fraction and exponent.  Input may nest at most 100 levels deep,
+counting each operator, function call and pair of parentheses as a level,
+so that every recursive walk in this module stays within Python's default
+recursion limit; deeper input is a :class:`ParseError`.
 
 Trees are immutable and evaluate over plain floats.  Derivatives are
 exact to machine rounding rather than approximated: each gradient entry is
-a symbolic derivative tree (:func:`differentiate`) evaluated at the point,
-and each Hessian entry is the derivative of a gradient tree.  An
-expression builds its derivative trees on first use and keeps them.
-Integer exponents are expanded by repeated multiplication, so negative
-bases are fine there; any other exponent requires a positive base.
-Central finite differences live at the bottom of this module as an
+a symbolic derivative tree (:func:`differentiate`) and each Hessian entry
+is the derivative of a gradient tree.  On the first call for a variables
+tuple, an expression builds these trees and generates one straight-line
+Python function for the value, gradient and Hessian, with each distinct
+subtree computed once; it keeps both.  The generated code is the fast
+path.  Walking the trees with the float evaluator is the reference that
+code matches bit for bit (a NaN's sign and payload aside), and the error
+path: when the generated code
+fails, the walk runs again and raises the typed error naming the failing
+subtree.  Integer exponents are expanded by repeated multiplication, so
+negative bases are fine there; any other exponent requires a positive
+base.  Central finite differences live at the bottom of this module as an
 independent cross-check of the derivative trees and share no code with
 them.
 """
@@ -196,11 +205,22 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# How deep the parser nests, counting each operator, function call and pair
+# of parentheses as one level.  Every tree walker here recurses once per
+# level, and a second derivative tree is up to about seven times as deep as
+# the tree it comes from, so this keeps _collect_vars, to_source, _eval,
+# _derivative and the code writer inside Python's default recursion limit.
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each parse method returns a node and its depth."""
+
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.level = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -221,54 +241,72 @@ class _Parser:
             self.fail(expected)
         self.advance()
 
+    def deeper(self, depth: int, offset: int) -> int:
+        if depth >= _MAX_DEPTH:
+            raise ParseError(
+                "expression nested too deeply", offset, f"at most {_MAX_DEPTH} levels of nesting"
+            )
+        return depth + 1
+
+    def nested(self, parse_method, offset: int) -> tuple[Node, int]:
+        """Parse one level down, refusing before the recursion gets too deep."""
+        self.level = self.deeper(self.level, offset)
+        node, depth = parse_method()
+        self.level -= 1
+        return node, self.deeper(depth, offset)
+
     def parse(self) -> Node:
-        node = self.parse_expr()
+        node, _ = self.parse_expr()
         if self.peek()[0] != "end":
             self.fail("an operator or end of input")
         return node
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
+    def parse_expr(self) -> tuple[Node, int]:
+        node, depth = self.parse_term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = Binary(text, node, self.parse_term())
+                right, right_depth = self.parse_term()
+                node, depth = Binary(text, node, right), self.deeper(max(depth, right_depth), offset)
             else:
-                return node
+                return node, depth
 
-    def parse_term(self) -> Node:
-        node = self.parse_unary()
+    def parse_term(self) -> tuple[Node, int]:
+        node, depth = self.parse_unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = Binary(text, node, self.parse_unary())
+                right, right_depth = self.parse_unary()
+                node, depth = Binary(text, node, right), self.deeper(max(depth, right_depth), offset)
             else:
-                return node
+                return node, depth
 
-    def parse_unary(self) -> Node:
-        kind, text, _ = self.peek()
+    def parse_unary(self) -> tuple[Node, int]:
+        kind, text, offset = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Unary("neg", self.parse_unary())
+            arg, depth = self.nested(self.parse_unary, offset)
+            return Unary("neg", arg), depth
         return self.parse_power()
 
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
-        kind, text, _ = self.peek()
+    def parse_power(self) -> tuple[Node, int]:
+        base, base_depth = self.parse_atom()
+        kind, text, offset = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             # The exponent may start with a unary minus; recursion through
             # parse_unary -> parse_power makes "^" right associative.
-            return Binary("^", base, self.parse_unary())
-        return base
+            exponent, depth = self.nested(self.parse_unary, offset)
+            return Binary("^", base, exponent), max(depth, self.deeper(base_depth, offset))
+        return base, base_depth
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> tuple[Node, int]:
         kind, text, offset = self.peek()
         if kind == "num":
             self.advance()
-            return Const(float(text))
+            return Const(float(text)), 1
         if kind == "ident":
             self.advance()
             next_kind, next_text, _ = self.peek()
@@ -280,17 +318,17 @@ class _Parser:
                         "one of " + ", ".join(UNARY_FUNCTIONS),
                     )
                 self.advance()
-                arg = self.parse_expr()
+                arg, depth = self.nested(self.parse_expr, offset)
                 self.expect_op(")", "')'")
-                return Unary(text, arg)
+                return Unary(text, arg), depth
             if text in UNARY_FUNCTIONS:
                 self.fail(f"'(' after function name '{text}'")
-            return Var(text)
+            return Var(text), 1
         if kind == "op" and text == "(":
             self.advance()
-            node = self.parse_expr()
+            node, depth = self.nested(self.parse_expr, offset)
             self.expect_op(")", "')'")
-            return node
+            return node, depth
         self.fail("a number, variable, function or '('")
 
 
@@ -313,9 +351,9 @@ class Expression:
 
     root: Node
     free_vars: tuple[str, ...]
-    # Derivative trees per variables tuple, filled on first use by
-    # value_gradient and value_gradient_hessian.  Equality and hashing stay
-    # those of the tree.
+    # Filled on first use by value_gradient and value_gradient_hessian:
+    # derivative trees per variables tuple, and generated functions per
+    # (variables, hessian).  Equality and hashing stay those of the tree.
     _derivative_trees: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
@@ -393,25 +431,31 @@ def _apply_unary(op: str, x: float, node: Node) -> float:
         raise DomainError(f"{op}: {exc}", to_source(node)) from None
 
 
-def _int_pow(base: float, n: int, node: Node) -> float:
+def _integer_exponent(exponent) -> bool:
+    """Whether ``_pow`` takes the repeated-multiplication path."""
+    return type(exponent) is float and exponent.is_integer() and abs(exponent) <= 1024
+
+
+def _int_pow(base: float, n: int) -> float:
+    """``base**n`` by repeated multiplication, left to right; any base sign.
+
+    Raises ``ZeroDivisionError`` for a negative power of zero.
+    """
     if n == 0:
         return 1.0
-    positive = abs(n)
     acc = base
-    for _ in range(positive - 1):
+    for _ in range(abs(n) - 1):
         acc = acc * base
-    if n < 0:
-        try:
-            return 1.0 / acc
-        except ZeroDivisionError:
-            raise DomainError("negative power of zero", to_source(node)) from None
-    return acc
+    return 1.0 / acc if n < 0 else acc
 
 
 def _pow(base: float, exponent: float, node: Node) -> float:
     # An integer exponent selects repeated multiplication, valid for any base.
-    if type(exponent) is float and exponent.is_integer() and abs(exponent) <= 1024:
-        return _int_pow(base, int(exponent), node)
+    if _integer_exponent(exponent):
+        try:
+            return _int_pow(base, int(exponent))
+        except ZeroDivisionError:
+            raise DomainError("negative power of zero", to_source(node)) from None
     if base <= 0.0:
         raise DomainError("non-integer exponent requires a positive base", to_source(node))
     log_base = _apply_unary("log", base, node)
@@ -474,22 +518,168 @@ def _trees(expr: Expression, variables: tuple[str, ...], hessian: bool) -> list:
     return entry
 
 
+def _evaluate_trees(expr: Expression, variables: tuple[str, ...], env, hessian: bool) -> tuple:
+    """Value, gradient and (if asked) Hessian by walking the derivative trees.
+
+    This is the reference the generated code must match, and the error
+    path: it raises the typed errors that name the failing subtree.
+    """
+    gradient, rows = _trees(expr, variables, hessian)
+    value = float(_eval(expr.root, env))
+    grad = np.array([_eval(tree, env) for tree in gradient], dtype=float)
+    if not hessian:
+        return value, grad
+    k = len(variables)
+    hess = np.empty((k, k))
+    for i, row in enumerate(rows):
+        for j, tree in enumerate(row, start=i):
+            hess[i, j] = hess[j, i] = _eval(tree, env)
+    return value, grad, hess
+
+
+class _NonPositiveBase(Exception):
+    """Raised by generated code where ``_pow`` raises :class:`DomainError`."""
+
+
+def _generated_pow(base: float, exponent: float) -> float:
+    if _integer_exponent(exponent):
+        return _int_pow(base, int(exponent))
+    if base <= 0.0:
+        raise _NonPositiveBase
+    return math.exp(exponent * math.log(base))
+
+
+# Everything generated code can fail with; the tree walk then re-raises it
+# as the typed error.  KeyError is a variable missing from the bindings.
+_GENERATED_ERRORS = (ArithmeticError, ValueError, _NonPositiveBase, KeyError)
+_GENERATED_GLOBALS = {"__builtins__": {}, "pow_": _generated_pow, **_UNARY_TABLE}
+
+
+class _CodeWriter:
+    """Straight-line Python for a set of trees.
+
+    Each distinct subtree becomes one local assignment: a node's right-hand
+    side is spelled with its children's local names, so equal subtrees spell
+    equal text and share one name without hashing whole trees.  Variables
+    are positional parameters ``x0, x1, ...`` and non-finite or non-float
+    constants are globals ``c0, c1, ...``, so no name or text from the
+    expression enters the source.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.params: dict[str, str] = {}  # variable name -> parameter
+        self.constants: dict[str, object] = {}  # global name -> value
+        self.locals: dict[str, str] = {}  # right-hand side -> local name
+        self.done: dict[int, str] = {}  # id(node) -> operand, for shared node objects
+
+    def operand(self, node: Node) -> str:
+        text = self.done.get(id(node))
+        if text is not None:
+            return text
+        cls = node.__class__
+        if cls is Var:
+            text = self.params.setdefault(node.name, f"x{len(self.params)}")
+        elif cls is Const:
+            value = node.value
+            if type(value) is float and math.isfinite(value):
+                text = repr(value)
+                if text[0] == "-":
+                    text = f"({text})"
+            else:
+                text = f"c{len(self.constants)}"
+                self.constants[text] = value
+        elif cls is Unary:
+            arg = self.operand(node.arg)
+            text = self.assign(f"-{arg}" if node.op == "neg" else f"{node.op}({arg})")
+        else:
+            # Both children come first, as in _eval, so a failing base is
+            # evaluated even where the power itself folds to a constant.
+            left = self.operand(node.left)
+            right = self.operand(node.right)
+            if node.op != "^":
+                text = self.assign(f"{left}{node.op}{right}")
+            else:
+                text = self.power(left, node.right, right)
+        self.done[id(node)] = text
+        return text
+
+    def power(self, base: str, exponent: Node, exponent_text: str) -> str:
+        if exponent.__class__ is not Const or not _integer_exponent(exponent.value):
+            return self.assign(f"pow_({base},{exponent_text})")
+        # _int_pow unrolled: the same products in the same order.
+        n = int(exponent.value)
+        if n == 0:
+            return "1.0"
+        if n == 1:
+            return base
+        product = "*".join([base] * abs(n))
+        return self.assign(product if n > 0 else f"1.0/({product})")
+
+    def assign(self, rhs: str) -> str:
+        name = self.locals.get(rhs)
+        if name is None:
+            name = self.locals[rhs] = f"t{len(self.locals)}"
+            self.lines.append(f"    {name} = {rhs}")
+        return name
+
+
+def _compile(expr: Expression, variables: tuple[str, ...], hessian: bool):
+    """One function computing value, gradient and (if asked) the Hessian.
+
+    It takes the values of the variables it uses, in the order of the
+    returned names, and returns ``(value, gradient)`` or ``(value,
+    gradient, Hessian)`` as lists, the Hessian flattened row by row.
+    """
+    gradient, rows = _trees(expr, variables, hessian)
+    writer = _CodeWriter()
+    outputs = [writer.operand(expr.root), "[" + ",".join(map(writer.operand, gradient)) + "]"]
+    if hessian:
+        upper = [[writer.operand(tree) for tree in row] for row in rows]
+        k = len(variables)
+        mirrored = [upper[min(i, j)][abs(j - i)] for i in range(k) for j in range(k)]
+        outputs.append("[" + ",".join(mirrored) + "]")
+    source = "\n".join(
+        [f"def derivatives({','.join(writer.params.values())}):", *writer.lines, f"    return {','.join(outputs)}"]
+    )
+    namespace = {**_GENERATED_GLOBALS, **writer.constants}
+    exec(compile(source, "<derivatives>", "exec"), namespace)
+    return namespace["derivatives"], tuple(writer.params)
+
+
+def _derivatives(expr: Expression, variables: Sequence[str], bindings: Mapping[str, float], hessian: bool):
+    variables = tuple(variables)
+    env = _derivative_env(variables, bindings)
+    # Keyed apart from the variables tuples that hold the trees themselves.
+    key = (variables, hessian)
+    compiled = expr._derivative_trees.get(key)
+    if compiled is None:
+        compiled = expr._derivative_trees[key] = _compile(expr, variables, hessian)
+    function, params = compiled
+    try:
+        result = function(*[env[name] for name in params])
+    except _GENERATED_ERRORS:
+        return _evaluate_trees(expr, variables, env, hessian)
+    value = float(result[0])
+    grad = np.array(result[1], dtype=float)
+    if not hessian:
+        return value, grad
+    k = len(variables)
+    return value, grad, np.array(result[2], dtype=float).reshape(k, k)
+
+
 def value_gradient(
     expr: Expression, variables: Sequence[str], bindings: Mapping[str, float]
 ) -> tuple[float, np.ndarray]:
     """Value and exact gradient at a point.
 
-    Gradient entry ``i`` evaluates the symbolic derivative of the tree with
-    respect to ``variables[i]``.  The derivative trees are built on the
-    first call for a variables tuple and kept on the expression.  Every
+    Gradient entry ``i`` is the symbolic derivative of the tree with
+    respect to ``variables[i]``, evaluated by code generated on the first
+    call for a variables tuple and kept on the expression.  Every
     differentiation variable must be bound, even one the expression does
     not use.
     """
-    variables = tuple(variables)
-    env = _derivative_env(variables, bindings)
-    gradient, _ = _trees(expr, variables, hessian=False)
-    value = float(_eval(expr.root, env))
-    return value, np.array([_eval(tree, env) for tree in gradient], dtype=float)
+    return _derivatives(expr, variables, bindings, hessian=False)
 
 
 def value_gradient_hessian(
@@ -497,22 +687,12 @@ def value_gradient_hessian(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, exact gradient and exact Hessian at a point.
 
-    Hessian entry ``(i, j)`` evaluates the derivative of gradient tree ``i``
-    with respect to ``variables[j]``.  Only the upper triangle is evaluated
-    and it is mirrored, so the returned matrix is symmetric to exact
+    Hessian entry ``(i, j)`` is the derivative of gradient tree ``i`` with
+    respect to ``variables[j]``.  Only the upper triangle is computed and
+    it is mirrored, so the returned matrix is symmetric to exact
     floating-point equality.
     """
-    variables = tuple(variables)
-    env = _derivative_env(variables, bindings)
-    gradient, rows = _trees(expr, variables, hessian=True)
-    value = float(_eval(expr.root, env))
-    grad = np.array([_eval(tree, env) for tree in gradient], dtype=float)
-    k = len(variables)
-    hessian = np.empty((k, k))
-    for i, row in enumerate(rows):
-        for j, tree in enumerate(row, start=i):
-            hessian[i, j] = hessian[j, i] = _eval(tree, env)
-    return value, grad, hessian
+    return _derivatives(expr, variables, bindings, hessian=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Checked linear algebra used by the dynamics and constraint modules."""
+"""Checked linear algebra used by the dynamics and constraint modules.
+
+The LU factorization and solves call LAPACK's ``dgetrf`` and ``dgetrs``
+directly.  These are the routines behind ``scipy.linalg.lu_factor`` and
+``lu_solve``, so results are bit-identical to theirs, without their
+per-call argument handling; the checks they make that matter here (finite
+input, empty arrays, matching shapes) are made below.
+"""
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SingularMatrix
 
@@ -16,32 +21,46 @@ KERNEL_TOLERANCE = 1e-10
 def checked_lu(matrix: np.ndarray, exc: type = SingularMatrix):
     """LU factorization with partial pivoting and a scaled pivot check.
 
-    Raises ``exc`` if the smallest pivot falls below ``PIVOT_TOLERANCE``
-    relative to the largest, which is how near-singularity is reported
-    throughout the package.
+    Returns ``(lu, piv)`` as ``scipy.linalg.lu_factor`` does, with 0-based
+    pivot indices.  Raises ``ValueError`` for NaN or inf entries, and
+    ``exc`` if the smallest pivot falls below ``PIVOT_TOLERANCE`` relative
+    to the largest, which is how near-singularity is reported throughout
+    the package.  An exactly zero pivot fails the same test.
     """
-    a = np.asarray(matrix, dtype=float)
-    with warnings.catch_warnings():
-        # Exact zero pivots are reported through the exception below.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    if pivots.size == 0:
-        return lu, piv
+    a = np.asarray_chkfinite(matrix, dtype=float)
+    if a.size == 0:
+        return np.empty_like(a), np.arange(0, dtype=np.int32)
+    lu, piv, info = dgetrf(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrf")
+    pivots = np.abs(lu.diagonal())
     if pivots.min() < PIVOT_TOLERANCE * max(1.0, pivots.max()):
         raise exc(f"matrix is singular to working precision (pivots {pivots})")
     return lu, piv
 
 
+def _lu_solve(lu: np.ndarray, piv: np.ndarray, rhs) -> np.ndarray:
+    b = np.asarray_chkfinite(rhs, dtype=float)
+    if lu.shape[0] != b.shape[0]:
+        raise ValueError(f"Shapes of lu {lu.shape} and b {b.shape} are incompatible")
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = dgetrs(lu, piv, b)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrs")
+    return x
+
+
 def checked_solve(matrix: np.ndarray, rhs: np.ndarray, exc: type = SingularMatrix) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` after :func:`checked_lu`; ``rhs`` may hold columns."""
     lu, piv = checked_lu(matrix, exc)
-    return scipy.linalg.lu_solve((lu, piv), np.asarray(rhs, dtype=float))
+    return _lu_solve(lu, piv, rhs)
 
 
 def checked_inverse(matrix: np.ndarray, exc: type = SingularMatrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    lu, piv = checked_lu(a, exc)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]))
+    """Inverse of a square matrix after :func:`checked_lu`."""
+    lu, piv = checked_lu(matrix, exc)
+    return _lu_solve(lu, piv, np.eye(lu.shape[0]))
 
 
 def kernel_basis(matrix: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from .bundle import (
 )
 from .errors import InputError, SingularLagrangian
 from .expr import Expression, value_gradient
-from .hamilton import HamiltonianForm, frame_splitting
+from .hamilton import HamiltonianForm
 from .lagrange import Lagrangian, _Derivatives
 from .linalg import checked_inverse
 
@@ -146,6 +146,8 @@ def evolution_derivative_split(
 
     Agrees with :func:`evolution_derivative` identically; the split isolates
     which part of the rate is frame drift and which is genuine dynamics.
+    The inner Hamiltonian ``H - p_i Gamma^i`` of :func:`frame_splitting` is
+    differentiated pointwise, from the gradients of H and of the frame.
     """
     n = q.n
     if H.n != n or frame.n != n:
@@ -154,6 +156,7 @@ def evolution_derivative_split(
     check_free_vars(f, names, "a phase function")
     env = phase_bindings(q)
     _, fg = value_gradient(f, names, env)
+    _, hg = value_gradient(H.expr, names, env)
 
     base = base_vars(n)
     base_env = event_bindings(q.t, q.y, n)
@@ -166,6 +169,8 @@ def evolution_derivative_split(
 
     ys = slice(1, n + 1)
     ps = slice(n + 1, 2 * n + 1)
-    transport = float(gamma @ fg[ys]) - float((q.p @ gamma_jac) @ fg[ps])
-    inner = frame_splitting(H, frame)
-    return float(fg[0]) + transport + bracket_vertical(f, inner, q)
+    drift = q.p @ gamma_jac  # d(p_j Gamma^j)/dy
+    transport = float(gamma @ fg[ys]) - float(drift @ fg[ps])
+    inner_y = hg[ys] - drift
+    inner_p = hg[ps] - gamma
+    return float(fg[0]) + transport + float(fg[ys] @ inner_p - inner_y @ fg[ps])

@@ -6,21 +6,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_smooth_expression
 
-from tdmech.errors import DomainError, ParseError, UnboundVariableError
+from tdmech.errors import DomainError, MechanicsError, ParseError, UnboundVariableError
 from tdmech.expr import (
+    _GENERATED_ERRORS,
+    _MAX_DEPTH,
+    UNARY_FUNCTIONS,
     Binary,
     Const,
     Unary,
     Var,
+    _CodeWriter,
+    _evaluate_trees,
     differentiate,
     expression,
     fd_gradient,
     fd_hessian,
     parse,
     substitute,
+    value_gradient,
     value_gradient_hessian,
 )
 
@@ -296,3 +304,171 @@ class TestSubstitute:
         e = parse("y1 + y2")
         out = substitute(e, {"y1": parse("y2")})
         assert out.evaluate({"y2": 2.0}) == 4.0
+
+
+# ---------------------------------------------------------------------------
+# Generated derivative code against the tree walk
+
+NAMES = ("t", "y1", "y2")
+
+_leaves = st.one_of(
+    st.sampled_from(NAMES).map(Var),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5, 0.3, 1e300, math.inf]).map(Const),
+)
+_exponents = st.one_of(
+    st.integers(-4, 5).map(lambda n: Const(float(n))),
+    st.sampled_from([0.5, -0.5, 1.5, 2.5]).map(Const),
+    st.sampled_from(NAMES).map(Var),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(("neg",) + UNARY_FUNCTIONS), children),
+        st.builds(Binary, st.sampled_from(["+", "-", "*", "/"]), children, children),
+        st.builds(Binary, st.just("^"), children, st.one_of(_exponents, children)),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=10)
+_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1000.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+_points = st.fixed_dictionaries({name: _coordinates for name in NAMES})
+
+
+def _bits(result):
+    """Exact bits, with every NaN alike.
+
+    A NaN's sign and payload are not reproducible from run to run: when
+    both operands of a product or sum are NaN, which one comes out depends
+    on operand order, and CPython's specialised float instructions may
+    order them differently from the generic ones.
+    """
+    parts = [np.asarray(part, dtype=float) for part in result]
+    return [np.where(np.isnan(part), np.nan, part).tobytes() for part in parts]
+
+
+def _outcome(call):
+    try:
+        return "ok", _bits(call())
+    except MechanicsError as exc:
+        return type(exc), str(exc)
+
+
+class TestCompiledMatchesTrees:
+    """The generated function against ``_eval`` over the cached trees."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(root=_trees, point=_points)
+    def test_bit_identical_or_same_error(self, root, point):
+        e = expression(root)
+        names = ("y1", "t")
+        compiled = _outcome(lambda: value_gradient_hessian(e, names, point))
+        reference = _outcome(lambda: _evaluate_trees(e, names, dict(point), hessian=True))
+        assert compiled == reference
+        # The generated code itself, not only its fallback, agrees.
+        function, params = e._derivative_trees[(names, True)]
+        if reference[0] == "ok":
+            assert _bits(function(*[point[name] for name in params])) == reference[1]
+        else:
+            with pytest.raises(_GENERATED_ERRORS):
+                function(*[point[name] for name in params])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(root=_trees, point=_points)
+    def test_gradient_only(self, root, point):
+        e = expression(root)
+        names = ("y2", "y1", "t")
+        compiled = _outcome(lambda: value_gradient(e, names, point))
+        reference = _outcome(lambda: _evaluate_trees(e, names, dict(point), hessian=False))
+        assert compiled == reference
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, -1, -2, -3, -5])
+    def test_integer_powers_round_like_repeated_multiplication(self, rng, n):
+        # x**n and 1/x/x/... round differently from _int_pow's products.
+        y1 = Var("y1")
+        # Built directly: the parser reads y1^-3 as a power of neg(3.0).
+        e = expression(0.5 * y1 ** float(n) + y1 ** (float(n) * Var("t")))
+        for x in rng.uniform(-3.0, 3.0, 50):
+            point = {"y1": float(x), "t": 1.0}
+            compiled = value_gradient_hessian(e, ("y1",), point)
+            assert _bits(compiled) == _bits(_evaluate_trees(e, ("y1",), point, hessian=True))
+
+    def test_integer_valued_variable_exponent(self):
+        e = parse("y1^t")
+        value, grad, hess = value_gradient_hessian(e, ("y1",), {"y1": -3.0, "t": 2.0})
+        assert (value, grad.tolist(), hess.tolist()) == (9.0, [-6.0], [[2.0]])
+
+    @pytest.mark.parametrize(
+        "source, x, message",
+        [
+            ("1/y1", 0.0, "division by zero in '1.0/y1'"),
+            ("log(y1)", -1.0, "log: math domain error in 'log(y1)'"),
+            ("exp(y1)", 1000.0, "exp: math range error in 'exp(y1)'"),
+            ("sqrt(y1)", 0.0, "division by zero in '1.0/(2.0*sqrt(y1))'"),
+            ("y1^0.5", 0.0, "non-integer exponent requires a positive base in 'y1^0.5'"),
+            ("y1^-2", 0.0, "negative power of zero in 'y1^(-2.0)'"),
+        ],
+    )
+    def test_domain_errors_name_the_failing_subtree(self, source, x, message):
+        for call in (value_gradient, value_gradient_hessian):
+            with pytest.raises(DomainError) as info:
+                call(parse(source), ("y1",), {"y1": x})
+            assert str(info.value) == message
+
+    def test_unbound_variables(self):
+        with pytest.raises(UnboundVariableError, match="'y2'"):
+            value_gradient_hessian(parse("y1"), ("y1", "y2"), {"y1": 1.0})
+        # Bound for differentiation but used unbound: the generated code
+        # fails on the lookup and the tree walk names the variable.
+        with pytest.raises(UnboundVariableError, match="'y2'"):
+            value_gradient(parse("y1*y2"), ("y1",), {"y1": 1.0})
+
+    def test_non_finite_literal(self):
+        e = parse("1e999*y1 + y1^2")
+        value, grad, hess = value_gradient_hessian(e, ("y1",), {"y1": 2.0})
+        assert (value, grad.tolist(), hess.tolist()) == (math.inf, [math.inf], [[2.0]])
+
+    def test_shared_subtrees_are_computed_once(self):
+        e = parse("0.5*((v1-(0.5+0.1*sin(t))*y1)^2 + (v2+(0.5+0.1*sin(t))*y2)^2)")
+        names = ("t", "y1", "y2", "v1", "v2")
+        value_gradient_hessian(e, names, dict.fromkeys(names, 0.3))
+        gradient, rows = e._derivative_trees[names]
+        writer = _CodeWriter()
+        for tree in (e.root, *gradient, *(tree for row in rows for tree in row)):
+            writer.operand(tree)
+        assert sum("sin(" in line for line in writer.lines) == 1
+        assert sum("cos(" in line for line in writer.lines) == 1
+
+
+class TestDepthCap:
+    @pytest.mark.parametrize(
+        "source",
+        ["-" * 5000 + "1", "(" * 2000 + "y1" + ")" * 2000, "+".join(["y1"] * 3000)],
+        ids=["unary-minus", "parentheses", "flat-sum"],
+    )
+    def test_too_deep_is_a_parse_error(self, source):
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert 0 <= info.value.offset < len(source)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "-" * (_MAX_DEPTH - 1) + "y1",
+            "(" * (_MAX_DEPTH - 1) + "y1" + ")" * (_MAX_DEPTH - 1),
+            "+".join(["y1"] * _MAX_DEPTH),
+            # The deepest second derivatives per level of input.
+            "^".join(["y1"] * _MAX_DEPTH),
+        ],
+        ids=["unary-minus", "parentheses", "flat-sum", "power-tower"],
+    )
+    def test_at_the_cap_gives_a_hessian(self, source):
+        with pytest.raises(ParseError):
+            parse("-(" + source + ")")
+        e = parse(source)
+        point = {"y1": 1.0}
+        result = value_gradient_hessian(e, ("y1",), point)
+        assert _bits(result) == _bits(_evaluate_trees(e, ("y1",), point, hessian=True))
