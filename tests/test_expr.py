@@ -330,7 +330,7 @@ def _extend(children):
     )
 
 
-_trees = st.recursive(_leaves, _extend, max_leaves=10)
+_random_trees = st.recursive(_leaves, _extend, max_leaves=10)
 _coordinates = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1000.0]),
     st.floats(-4.0, 4.0, allow_nan=False),
@@ -361,7 +361,7 @@ class TestCompiledMatchesTrees:
     """The generated function against ``_eval`` over the cached trees."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(root=_trees, point=_points)
+    @given(root=_random_trees, point=_points)
     def test_bit_identical_or_same_error(self, root, point):
         e = expression(root)
         names = ("y1", "t")
@@ -377,7 +377,7 @@ class TestCompiledMatchesTrees:
                 function(*[point[name] for name in params])
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(root=_trees, point=_points)
+    @given(root=_random_trees, point=_points)
     def test_gradient_only(self, root, point):
         e = expression(root)
         names = ("y2", "y1", "t")
@@ -467,7 +467,7 @@ class TestDepthCap:
     )
     def test_at_the_cap_gives_a_hessian(self, source):
         with pytest.raises(ParseError):
-            parse("-(" + source + ")")
+            parse("-" + source)  # one level more
         e = parse(source)
         point = {"y1": 1.0}
         result = value_gradient_hessian(e, ("y1",), point)
