@@ -47,7 +47,7 @@ class NoConvergence(MechanicsError):
 
 
 class IntegrationBlowup(MechanicsError):
-    """The integrated state became non-finite."""
+    """The integrated state became non-finite or left the domain of the flow."""
 
     def __init__(self, last_t: float):
         super().__init__(f"state became non-finite after t={last_t!r}")

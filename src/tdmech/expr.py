@@ -19,19 +19,23 @@ recursion limit; deeper input is a :class:`ParseError`.
 Trees are immutable and evaluate over plain floats.  Derivatives are
 exact to machine rounding rather than approximated: each gradient entry is
 a symbolic derivative tree (:func:`differentiate`) and each Hessian entry
-is the derivative of a gradient tree.  On the first call for a variables
-tuple, an expression builds these trees and generates one straight-line
-Python function for the value, gradient and Hessian, with each distinct
-subtree computed once; it keeps both.  The generated code is the fast
-path.  Walking the trees with the float evaluator is the reference that
-code matches bit for bit (a NaN's sign and payload aside), and the error
-path: when the generated code
-fails, the walk runs again and raises the typed error naming the failing
-subtree.  Integer exponents are expanded by repeated multiplication, so
-negative bases are fine there; any other exponent requires a positive
-base.  Central finite differences live at the bottom of this module as an
-independent cross-check of the derivative trees and share no code with
-them.
+is the derivative of a gradient tree.  An expression builds these trees on
+first use and keeps them.  One code writer turns any set of output trees
+into a straight-line Python function of the variables, with each distinct
+subtree computed once, and the expression keeps each function it
+generates.  The output sets are the value and gradient, the value,
+gradient and Hessian, and two sets for the flows: the Hamilton vector
+field ``(dH/dp, -dH/dy)`` over ``(t, y, p)``, and a Lagrangian's value,
+gradient and the ``tv``, ``yv`` and ``vv`` Hessian blocks over
+``(t, y, v)``.  The generated code is the fast path.  Walking the trees
+with the float evaluator is the reference that code matches bit for bit
+(a NaN's sign and payload aside), and the error path: when the generated
+code fails, the walk runs again at the same point and raises the typed
+error naming the failing subtree.  Integer exponents are expanded by
+repeated multiplication, so negative bases are fine there; any other
+exponent requires a positive base.  Central finite differences live at
+the bottom of this module as an independent cross-check of the derivative
+trees and share no code with them.
 """
 
 from __future__ import annotations
@@ -351,9 +355,9 @@ class Expression:
 
     root: Node
     free_vars: tuple[str, ...]
-    # Filled on first use by value_gradient and value_gradient_hessian:
-    # derivative trees per variables tuple, and generated functions per
-    # (variables, hessian).  Equality and hashing stay those of the tree.
+    # Filled on first use: derivative trees per variables tuple, and
+    # generated functions per (variables, output set); see _OUTPUT_SETS.
+    # Equality and hashing stay those of the tree.
     _derivative_trees: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
@@ -518,25 +522,6 @@ def _trees(expr: Expression, variables: tuple[str, ...], hessian: bool) -> list:
     return entry
 
 
-def _evaluate_trees(expr: Expression, variables: tuple[str, ...], env, hessian: bool) -> tuple:
-    """Value, gradient and (if asked) Hessian by walking the derivative trees.
-
-    This is the reference the generated code must match, and the error
-    path: it raises the typed errors that name the failing subtree.
-    """
-    gradient, rows = _trees(expr, variables, hessian)
-    value = float(_eval(expr.root, env))
-    grad = np.array([_eval(tree, env) for tree in gradient], dtype=float)
-    if not hessian:
-        return value, grad
-    k = len(variables)
-    hess = np.empty((k, k))
-    for i, row in enumerate(rows):
-        for j, tree in enumerate(row, start=i):
-            hess[i, j] = hess[j, i] = _eval(tree, env)
-    return value, grad, hess
-
-
 class _NonPositiveBase(Exception):
     """Raised by generated code where ``_pow`` raises :class:`DomainError`."""
 
@@ -561,17 +546,24 @@ class _CodeWriter:
     Each distinct subtree becomes one local assignment: a node's right-hand
     side is spelled with its children's local names, so equal subtrees spell
     equal text and share one name without hashing whole trees.  Variables
-    are positional parameters ``x0, x1, ...`` and non-finite or non-float
-    constants are globals ``c0, c1, ...``, so no name or text from the
-    expression enters the source.
+    are positional parameters ``x0, x1, ...``, the given ``variables``
+    first, and non-finite or non-float constants are globals ``c0, c1,
+    ...``, so no name or text from the expression enters the source.
     """
 
-    def __init__(self):
+    def __init__(self, variables: Sequence[str] = ()):
         self.lines: list[str] = []
-        self.params: dict[str, str] = {}  # variable name -> parameter
+        # variable name -> parameter
+        self.params: dict[str, str] = {name: f"x{i}" for i, name in enumerate(variables)}
         self.constants: dict[str, object] = {}  # global name -> value
         self.locals: dict[str, str] = {}  # right-hand side -> local name
         self.done: dict[int, str] = {}  # id(node) -> operand, for shared node objects
+
+    def nested(self, outputs) -> str:
+        """A list display of the outputs, nested as they are."""
+        return "[" + ",".join(
+            self.operand(out) if isinstance(out, Node) else self.nested(out) for out in outputs
+        ) + "]"
 
     def operand(self, node: Node) -> str:
         text = self.done.get(id(node))
@@ -624,48 +616,141 @@ class _CodeWriter:
         return name
 
 
-def _compile(expr: Expression, variables: tuple[str, ...], hessian: bool):
-    """One function computing value, gradient and (if asked) the Hessian.
+def _compile(variables: tuple[str, ...], outputs: tuple):
+    """One straight-line function computing a nested tuple of output trees.
 
-    It takes the values of the variables it uses, in the order of the
-    returned names, and returns ``(value, gradient)`` or ``(value,
-    gradient, Hessian)`` as lists, the Hessian flattened row by row.
+    Its parameters are ``variables`` in order, used or not, then any other
+    variable the trees use.  It returns the outputs' values as lists nested
+    like ``outputs``.  Returns the function and its parameter names.
     """
-    gradient, rows = _trees(expr, variables, hessian)
-    writer = _CodeWriter()
-    outputs = [writer.operand(expr.root), "[" + ",".join(map(writer.operand, gradient)) + "]"]
-    if hessian:
-        upper = [[writer.operand(tree) for tree in row] for row in rows]
-        k = len(variables)
-        mirrored = [upper[min(i, j)][abs(j - i)] for i in range(k) for j in range(k)]
-        outputs.append("[" + ",".join(mirrored) + "]")
-    source = "\n".join(
-        [f"def derivatives({','.join(writer.params.values())}):", *writer.lines, f"    return {','.join(outputs)}"]
-    )
+    writer = _CodeWriter(variables)
+    result = writer.nested(outputs)
+    params = ",".join(writer.params.values())
+    source = "\n".join([f"def generated({params}):", *writer.lines, f"    return {result}"])
     namespace = {**_GENERATED_GLOBALS, **writer.constants}
-    exec(compile(source, "<derivatives>", "exec"), namespace)
-    return namespace["derivatives"], tuple(writer.params)
+    exec(compile(source, "<generated>", "exec"), namespace)
+    return namespace["generated"], tuple(writer.params)
+
+
+def _walk(outputs, env: Mapping[str, float]) -> list:
+    """The generated function's result by the tree walk, in the same order.
+
+    This is the reference the generated code must match, and the error
+    path: it raises the typed errors that name the failing subtree.
+    """
+    return [_eval(out, env) if isinstance(out, Node) else _walk(out, env) for out in outputs]
+
+
+# ---------------------------------------------------------------------------
+# Output sets: what one generated function returns
+
+
+def _hessian_entry(rows: tuple, i: int, j: int) -> Node:
+    """Hessian tree ``(i, j)`` from the upper-triangle rows."""
+    return rows[min(i, j)][abs(j - i)]
+
+
+def _gradient_set(expr: Expression, variables: tuple[str, ...]) -> tuple:
+    gradient, _ = _trees(expr, variables, hessian=False)
+    return expr.root, gradient
+
+
+def _hessian_set(expr: Expression, variables: tuple[str, ...]) -> tuple:
+    gradient, rows = _trees(expr, variables, hessian=True)
+    k = len(variables)
+    return expr.root, gradient, [[_hessian_entry(rows, i, j) for j in range(k)] for i in range(k)]
+
+
+def _hamilton_field_set(expr: Expression, variables: tuple[str, ...]) -> tuple:
+    """``(dH/dp_1..n, -dH/dy_1..n)`` over ``(t, y_1..n, p_1..n)``.
+
+    The sign is a ``neg`` node, exact like numpy's ``-grad``.  H's own
+    value is not computed.
+    """
+    gradient, _ = _trees(expr, variables, hessian=False)
+    n = len(variables) // 2
+    return (*gradient[n + 1 :], *(Unary("neg", tree) for tree in gradient[1 : n + 1]))
+
+
+def _lagrangian_block_set(expr: Expression, variables: tuple[str, ...]) -> tuple:
+    """``(value, gradient, tv, yv, vv)`` of L over ``(t, y_1..n, v_1..n)``.
+
+    ``tv[i]``, ``yv[j][i]`` and ``vv[i][j]`` are the second derivatives by
+    ``(t, v^i)``, ``(y^j, v^i)`` and ``(v^i, v^j)``; ``vv`` is mirrored from
+    its upper triangle.  The ``tt``, ``ty`` and ``yy`` blocks are left out.
+    """
+    gradient, rows = _trees(expr, variables, hessian=True)
+    n = len(variables) // 2
+    vs = range(n + 1, 2 * n + 1)
+    tv = [_hessian_entry(rows, 0, j) for j in vs]
+    yv = [[_hessian_entry(rows, i, j) for j in vs] for i in range(1, n + 1)]
+    vv = [[_hessian_entry(rows, i, j) for j in vs] for i in vs]
+    return expr.root, gradient, tv, yv, vv
+
+
+# The second element of a compiled function's key in ``_derivative_trees``,
+# the first being the variables tuple.  False and True are the sets of
+# value_gradient and value_gradient_hessian.
+_OUTPUT_SETS = {
+    False: _gradient_set,
+    True: _hessian_set,
+    "hamilton field": _hamilton_field_set,
+    "lagrangian blocks": _lagrangian_block_set,
+}
+
+
+def _generated(expr: Expression, variables: tuple[str, ...], output_set):
+    """``(function, parameter names)`` of one output set, compiled on first use."""
+    key = (variables, output_set)
+    compiled = expr._derivative_trees.get(key)
+    if compiled is None:
+        outputs = _OUTPUT_SETS[output_set](expr, variables)
+        compiled = expr._derivative_trees[key] = _compile(variables, outputs)
+    return compiled
+
+
+def _flow_function(expr: Expression, variables: tuple[str, ...], output_set) -> Callable:
+    """One output set as ``f(t, state)``, for a right-hand side's inner loop.
+
+    ``t`` is the first variable and ``state`` holds the others in order, as
+    Python floats; ``expr`` may use no variable outside ``variables``.  The
+    generated code runs directly; when it fails, the tree walk runs at the
+    same point and raises the typed error naming the failing subtree.
+    """
+    function, _ = _generated(expr, variables, output_set)
+
+    def evaluate(t: float, state) -> list:
+        try:
+            return function(t, *state)
+        except _GENERATED_ERRORS:
+            outputs = _OUTPUT_SETS[output_set](expr, variables)
+            return _walk(outputs, dict(zip(variables, (t, *state))))
+
+    return evaluate
+
+
+def _as_arrays(result: list, k: int) -> tuple:
+    """A gradient or Hessian set's values as ``(value, gradient[, Hessian])``."""
+    value, grad = float(result[0]), np.array(result[1], dtype=float)
+    if len(result) == 2:
+        return value, grad
+    return value, grad, np.array(result[2], dtype=float).reshape(k, k)
+
+
+def _evaluate_trees(expr: Expression, variables: tuple[str, ...], env, hessian: bool) -> tuple:
+    """Value, gradient and (if asked) Hessian by walking the derivative trees."""
+    return _as_arrays(_walk(_OUTPUT_SETS[hessian](expr, variables), env), len(variables))
 
 
 def _derivatives(expr: Expression, variables: Sequence[str], bindings: Mapping[str, float], hessian: bool):
     variables = tuple(variables)
     env = _derivative_env(variables, bindings)
-    # Keyed apart from the variables tuples that hold the trees themselves.
-    key = (variables, hessian)
-    compiled = expr._derivative_trees.get(key)
-    if compiled is None:
-        compiled = expr._derivative_trees[key] = _compile(expr, variables, hessian)
-    function, params = compiled
+    function, params = _generated(expr, variables, hessian)
     try:
         result = function(*[env[name] for name in params])
     except _GENERATED_ERRORS:
-        return _evaluate_trees(expr, variables, env, hessian)
-    value = float(result[0])
-    grad = np.array(result[1], dtype=float)
-    if not hessian:
-        return value, grad
-    k = len(variables)
-    return value, grad, np.array(result[2], dtype=float).reshape(k, k)
+        result = _walk(_OUTPUT_SETS[hessian](expr, variables), env)
+    return _as_arrays(result, len(variables))
 
 
 def value_gradient(

@@ -32,6 +32,7 @@ from .expr import (
     Const,
     Expression,
     Var,
+    _flow_function,
     differentiate,
     expression,
     parse,
@@ -65,13 +66,20 @@ def _phase_gradient(H: HamiltonianForm, q: VerticalPhasePoint) -> tuple[float, n
     return value_gradient(H.expr, phase_vars(H.n), phase_bindings(q))
 
 
+def _hamilton_field(H: HamiltonianForm):
+    """The Hamilton vector field as ``f(t, [y..., p...]) -> [dH/dp..., -dH/dy...]``.
+
+    One generated function per Hamiltonian; it does not evaluate H itself.
+    """
+    return _flow_function(H.expr, phase_vars(H.n), "hamilton field")
+
+
 def hamilton_rhs(H: HamiltonianForm, q: VerticalPhasePoint) -> VerticalTangent:
     """Right-hand side of the Hamilton equations at a phase point."""
     if q.n != H.n:
         raise InputError(f"Hamiltonian has n={H.n} but point has n={q.n}")
-    _, grad = _phase_gradient(H, q)
-    n = H.n
-    return VerticalTangent(dy=grad[n + 1 :], dp=-grad[1 : n + 1], dt=1.0)
+    field = _hamilton_field(H)(float(q.t), np.concatenate([q.y, q.p]).tolist())
+    return VerticalTangent(dy=field[: H.n], dp=field[H.n :], dt=1.0)
 
 
 def integrate_hamilton(
@@ -80,21 +88,13 @@ def integrate_hamilton(
     """Fixed-step RK4 flow of the Hamilton equations, sampled every step."""
     if q0.n != H.n:
         raise InputError(f"Hamiltonian has n={H.n} but start point has n={q0.n}")
-    n = H.n
     n_steps = step_count(q0.t, t_end, dt)
-    names = phase_vars(n)
-
-    # Raw gradient evaluation: divergent states must flow into the
+    # The field alone would not notice a start outside H's domain: the
+    # gradient of log(y1) exists where log(y1) does not.
+    H.expr.evaluate(phase_bindings(q0))
+    # Raw field evaluation: divergent states must flow into the
     # integrator's blow-up checks instead of tripping point validation.
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        env = dict(zip(names, (t, *state)))
-        _, grad = value_gradient(H.expr, names, env)
-        out = np.empty(2 * n)
-        out[:n] = grad[n + 1 :]
-        out[n:] = -grad[1 : n + 1]
-        return out
-
-    times, states = rk4_path(rhs, q0.t, np.concatenate([q0.y, q0.p]), dt, n_steps)
+    times, states = rk4_path(_hamilton_field(H), q0.t, np.concatenate([q0.y, q0.p]), dt, n_steps)
     return Trajectory("phase", times, states, dt)
 
 

@@ -10,6 +10,7 @@ map can be inverted.  Both solves report degeneracy as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,11 +24,10 @@ from .bundle import (
     check_free_vars,
     jet_vars,
     event_bindings,
-    v_names,
     y_names,
 )
 from .errors import InputError, NoConvergence, SingularLagrangian
-from .expr import Expression, parse, value_gradient_hessian
+from .expr import Expression, _flow_function, parse
 from .integrate import Trajectory, rk4_path, step_count
 from .linalg import checked_solve
 
@@ -52,27 +52,47 @@ class Lagrangian:
         return cls(parse(source), n)
 
 
+def _blocks(L: Lagrangian):
+    """L's generated block set as ``f(t, [y..., v...]) -> [value, gradient, tv, yv, vv]``."""
+    return _flow_function(L.expr, jet_vars(L.n), "lagrangian blocks")
+
+
 class _Derivatives:
-    """First and second derivatives of L over (t, y, v) at one jet point."""
+    """Value, gradient and the ``tv``, ``yv`` and ``vv`` Hessian blocks of L
+    over (t, y, v) at one jet point.
+
+    The slots are filled from L's block set, one generated function that
+    computes no ``tt``, ``ty`` or ``yy`` entry, since no caller reads them.
+    """
 
     __slots__ = ("value", "grad_t", "grad_y", "grad_v", "tv", "yv", "vv")
 
     def __init__(self, L: Lagrangian, t: float, y: np.ndarray, v: np.ndarray):
         n = L.n
-        names = jet_vars(n)
-        bindings = event_bindings(t, y, n)
-        for name, value in zip(v_names(n), v):
-            bindings[name] = float(value)
-        value, grad, hess = value_gradient_hessian(L.expr, names, bindings)
-        ys = slice(1, n + 1)
-        vs = slice(n + 1, 2 * n + 1)
-        self.value = value
+        value, grad, tv, yv, vv = _blocks(L)(float(t), [*map(float, y), *map(float, v)])
+        self.value = float(value)
         self.grad_t = grad[0]
-        self.grad_y = grad[ys]
-        self.grad_v = grad[vs]
-        self.tv = hess[0, vs]
-        self.yv = hess[ys, vs]  # yv[j, i] = d2 L / dy^j dv^i
-        self.vv = hess[vs, vs]
+        self.grad_y = np.array(grad[1 : n + 1], dtype=float)
+        self.grad_v = np.array(grad[n + 1 :], dtype=float)
+        self.tv = np.array(tv, dtype=float)
+        self.yv = np.array(yv, dtype=float)  # yv[j, i] = d2 L / dy^j dv^i
+        self.vv = np.array(vv, dtype=float)
+
+
+def _accelerations(grad_y, tv, yv, vv, v) -> np.ndarray:
+    """Solve ``pi_ij a^j = dL/dy^i - d2L/dt dv^i - v^j d2L/dy^j dv^i``.
+
+    The velocity term is summed left to right, ``v_0*yv[0][i] +
+    v_1*yv[1][i] + ...``, so the result does not depend on the BLAS build.
+    """
+    n = len(v)
+    force = []
+    for i in range(n):
+        transport = v[0] * yv[0][i]
+        for j in range(1, n):
+            transport = transport + v[j] * yv[j][i]
+        force.append(grad_y[i] - tv[i] - transport)
+    return checked_solve(vv, force, exc=SingularLagrangian)
 
 
 def momentum_and_hessian(L: Lagrangian, j: JetPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +162,7 @@ def dynamic_rhs(L: Lagrangian, j: JetPoint) -> np.ndarray:
     if j.n != L.n:
         raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
     d = _Derivatives(L, j.t, j.y, j.v)
-    force = d.grad_y - d.tv - j.v @ d.yv
-    return checked_solve(d.vv, force, exc=SingularLagrangian)
+    return _accelerations(d.grad_y, d.tv, d.yv, d.vv, j.v)
 
 
 def integrate_lagrange(L: Lagrangian, j0: JetPoint, t_end: float, dt: float) -> Trajectory:
@@ -153,15 +172,18 @@ def integrate_lagrange(L: Lagrangian, j0: JetPoint, t_end: float, dt: float) -> 
     n = L.n
     n_steps = step_count(j0.t, t_end, dt)
 
-    # Raw derivative evaluation, so divergence reaches the integrator's
-    # blow-up checks as nan instead of tripping validation or the LU check.
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
+    blocks = _blocks(L)
+
+    # Raw block evaluation, so divergence reaches the integrator's blow-up
+    # checks as nan instead of tripping point validation.
+    def rhs(t: float, state: list) -> list:
+        _, grad, tv, yv, vv = blocks(t, state)
         v = state[n:]
-        d = _Derivatives(L, t, state[:n], v)
-        force = d.grad_y - d.tv - v @ d.yv
-        if not (np.all(np.isfinite(d.vv)) and np.all(np.isfinite(force))):
-            return np.full(2 * n, np.nan)
-        return np.concatenate([v, checked_solve(d.vv, force, exc=SingularLagrangian)])
+        try:
+            return v + _accelerations(grad[1 : n + 1], tv, yv, vv, v).tolist()
+        except ValueError:
+            # checked_solve refuses non-finite input
+            return [math.nan] * (2 * n)
 
     times, states = rk4_path(rhs, j0.t, np.concatenate([j0.y, j0.v]), dt, n_steps)
     return Trajectory("jet", times, states, dt)

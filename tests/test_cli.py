@@ -287,3 +287,16 @@ def test_config_error_reports_line(config_for, tmp_path, capsys):
     code = main(["simulate-lagrange", "--config", config_for(text)])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--dt", "nan"], ["--t-end", "inf"], ["--dt", "1e-300"]],
+    ids=["dt-nan", "t-end-inf", "dt-tiny"],
+)
+def test_unusable_step_request_is_input_error(config_for, tmp_path, flags):
+    out = tmp_path / "out"
+    config = config_for(OSCILLATOR)
+    code = main(["simulate-hamilton", "--config", config, "--out", str(out), *flags])
+    assert code == 2
+    assert not (out / "trajectory.csv").exists()
