@@ -11,6 +11,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -400,7 +401,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    ``parse_args`` keeps nothing between calls: each returns a fresh
+    namespace filled from the defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="tdmech",
         description="Batch tools for time-dependent mechanics systems.",

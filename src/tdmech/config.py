@@ -12,6 +12,7 @@ text and rebuild the typed objects they need.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -141,9 +142,12 @@ class _Reader:
             return default
         raw = self.values[key].strip()
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise self.fail(key, f"must be a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise self.fail(key, f"must be finite, got {raw!r}")
+        return value
 
     def string(self, key: str, default=None):
         if key not in self.values:
@@ -173,9 +177,12 @@ class _Reader:
         if items is None:
             return default
         try:
-            return tuple(float(item) for item in items)
+            values = tuple(float(item) for item in items)
         except ValueError:
             raise self.fail(key, "must be a list of numbers") from None
+        if not all(map(math.isfinite, values)):
+            raise self.fail(key, f"must be a list of finite numbers, got {values}")
+        return values
 
     def expression_list(self, key: str, default=None):
         items = self.items(key)

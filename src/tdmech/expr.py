@@ -435,21 +435,36 @@ def _apply_unary(op: str, x: float, node: Node) -> float:
         raise DomainError(f"{op}: {exc}", to_source(node)) from None
 
 
+#: Largest ``|n|`` that ``_int_pow`` multiplies out left to right.
+_MULTIPLY_LIMIT = 1024
+
+
 def _integer_exponent(exponent) -> bool:
-    """Whether ``_pow`` takes the repeated-multiplication path."""
-    return type(exponent) is float and exponent.is_integer() and abs(exponent) <= 1024
+    """Whether ``_pow`` takes the integer path, valid for any base sign."""
+    return type(exponent) is float and exponent.is_integer()
 
 
 def _int_pow(base: float, n: int) -> float:
-    """``base**n`` by repeated multiplication, left to right; any base sign.
+    """``base**n`` for an integer ``n``; any base sign.
 
-    Raises ``ZeroDivisionError`` for a negative power of zero.
+    Up to ``|n| = _MULTIPLY_LIMIT`` by repeated multiplication, left to
+    right; above it by squaring, with the bits of ``|n|`` read from the
+    lowest.  Raises ``ZeroDivisionError`` for a negative power of zero.
     """
     if n == 0:
         return 1.0
-    acc = base
-    for _ in range(abs(n) - 1):
-        acc = acc * base
+    m = abs(n)
+    if m <= _MULTIPLY_LIMIT:
+        acc = base
+        for _ in range(m - 1):
+            acc = acc * base
+    else:
+        acc, square = 1.0, base
+        while m:
+            if m & 1:
+                acc = acc * square
+            square = square * square
+            m >>= 1
     return 1.0 / acc if n < 0 else acc
 
 
@@ -597,7 +612,11 @@ class _CodeWriter:
         return text
 
     def power(self, base: str, exponent: Node, exponent_text: str) -> str:
-        if exponent.__class__ is not Const or not _integer_exponent(exponent.value):
+        if (
+            exponent.__class__ is not Const
+            or not _integer_exponent(exponent.value)
+            or abs(exponent.value) > _MULTIPLY_LIMIT
+        ):
             return self.assign(f"pow_({base},{exponent_text})")
         # _int_pow unrolled: the same products in the same order.
         n = int(exponent.value)

@@ -32,7 +32,8 @@ from .errors import DomainError, InputError, IntegrationBlowup
 _STEP_SLACK = 1e-9
 
 #: Most floats a recorded path may hold, ``(n_steps + 1) * len(state)``:
-#: 800 MB of samples.  Larger requests are refused before allocating.
+#: 800 MB of samples.  Larger requests are refused before allocating.  It
+#: also bounds the full steps of :func:`rk4_to`, which records none.
 _SAMPLE_BUDGET = 10**8
 
 
@@ -116,15 +117,23 @@ def rk4_to(rhs: Callable, t: float, state0, t_target: float, dt: float) -> np.nd
 
     Full signed steps of magnitude ``dt`` are followed by one remainder step
     that lands on ``t_target``.  ``rhs`` is called as for :func:`rk4_path`.
+    Raises :class:`InputError` before the first step when the span holds
+    more than ``_SAMPLE_BUDGET`` full steps.
     """
     _check_request(t, t_target, dt)
     state = np.asarray(state0, dtype=float).tolist()
     span = t_target - t
     if span == 0.0:
         return np.array(state)
+    steps = abs(span) / dt + _STEP_SLACK
+    if not steps <= _SAMPLE_BUDGET:
+        raise InputError(
+            f"the span from t={t} to {t_target} takes more than"
+            f" {_SAMPLE_BUDGET} steps of size {dt}"
+        )
     direction = 1.0 if span > 0 else -1.0
     step = direction * dt
-    n_full = int(np.floor(abs(span) / dt + _STEP_SLACK))
+    n_full = int(np.floor(steps))
     t_reached = t + n_full * step
     remainder = t_target - t_reached
     last = abs(remainder) > 1e-14 * max(1.0, abs(t_target))

@@ -5,17 +5,37 @@ directly.  These are the routines behind ``scipy.linalg.lu_factor`` and
 ``lu_solve``, so results are bit-identical to theirs, without their
 per-call argument handling; the checks they make that matter here (finite
 input, empty arrays, matching shapes) are made below.
+
+LAPACK is bound on first use.  Importing scipy takes longer than most
+commands that never solve a linear system, so the first factorization
+imports ``scipy.linalg.lapack`` and rebinds the module names ``dgetrf``
+and ``dgetrs`` to its routines; every later call goes to LAPACK directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SingularMatrix
 
 PIVOT_TOLERANCE = 1e-10
 KERNEL_TOLERANCE = 1e-10
+
+
+def dgetrf(a):
+    """Stand-in for LAPACK's ``dgetrf`` until the first factorization.
+
+    Imports ``scipy.linalg.lapack``, rebinds this module's ``dgetrf`` and
+    ``dgetrs`` to its routines and factors ``a``.  Every solve follows a
+    factorization, so ``dgetrs`` needs no stand-in of its own.
+    """
+    global dgetrf, dgetrs
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    return dgetrf(a)
+
+
+dgetrs = None  # bound by the first dgetrf call
 
 
 def checked_lu(matrix: np.ndarray, exc: type = SingularMatrix):

@@ -65,6 +65,11 @@ class TestAdaptedCoordinates:
         out = adapted_coordinates(frame, 1.0, 0.0, [1.0])
         assert out[0] == pytest.approx(math.e, rel=1e-8)
 
+    def test_span_of_too_many_steps_is_refused(self):
+        frame = ReferenceFrame.parse(["y1"])
+        with pytest.raises(InputError, match="more than"):
+            adapted_coordinates(frame, 0.0, 1.0, [1.0], dt=1e-300)
+
     def test_labels_constant_along_observer_lines(self):
         # Flowing along the frame and re-labelling must return the start label.
         frame = ReferenceFrame.parse(["sin(t) + 0.3*y1"])

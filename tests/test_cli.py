@@ -300,3 +300,55 @@ def test_unusable_step_request_is_input_error(config_for, tmp_path, flags):
     code = main(["simulate-hamilton", "--config", config, "--out", str(out), *flags])
     assert code == 2
     assert not (out / "trajectory.csv").exists()
+
+
+def test_repeated_calls_share_a_parser_without_state(config_for, tmp_path, capsys):
+    from tdmech.cli import _build_parser
+
+    oscillator = config_for(OSCILLATOR)
+    transforms = config_for(
+        "[system]\nn = 1\n\n"
+        '[transform.good]\ny1 = "p1"\np1 = "-y1"\n\n'
+        '[transform.bad]\ny1 = "2*y1"\np1 = "p1"\n',
+        name="transforms.cfg",
+    )
+    calls = [
+        ["check-canonical", "--config", transforms, "--transform", "good", "--samples", "5"],
+        ["check-canonical", "--config", transforms, "--samples", "5"],
+        ["simulate-hamilton", "--config", oscillator, "--t-end", "0.5", "--dt", "0.01"],
+        ["legendre", "--config", oscillator, "--samples", "7", "--seed", "3"],
+        ["simulate-hamilton", "--config", oscillator, "--no-such-option"],
+        ["legendre", "--help"],
+        ["self-test"],
+    ]
+
+    def run(index, out):
+        try:
+            code = main([*calls[index], "--out", str(out)])
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        text = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return code, files, text.out.replace(str(out), "OUT"), text.err
+
+    # Reference: each call on a freshly built parser.
+    first = {}
+    for index in range(len(calls)):
+        _build_parser.cache_clear()
+        first[index] = run(index, tmp_path / f"first{index}")
+    assert [first[i][0] for i in range(len(calls))] == [0, 1, 0, 0, ("exit", 2), ("exit", 0), 0]
+    assert "unrecognized arguments: --no-such-option" in first[4][3]
+    assert first[5][2].startswith("usage: tdmech legendre")
+
+    # Then the same calls on one shared parser, in two other orders.
+    order = [*reversed(range(len(calls))), 0, 4, 1, 5, 2, 6, 3]
+    for k, index in enumerate(order):
+        assert run(index, tmp_path / f"again{k}") == first[index]
+    assert _build_parser() is _build_parser()
+
+
+def test_non_finite_config_number_names_the_line(config_for, tmp_path, capsys):
+    text = OSCILLATOR.replace("dt = 0.001", "dt = nan")
+    code = main(["legendre", "--config", config_for(text), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "line 8: integrator.dt must be finite" in capsys.readouterr().err

@@ -157,3 +157,18 @@ def test_negative_dt_rejected(tmp_path):
 def test_comments_and_blank_lines_ignored(tmp_path):
     text = "# system under test\n[system]\n; dimension\nn = 1\n\n"
     assert load_config(write(tmp_path, text)).n == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, line, key",
+    [
+        ("dt = 0.001", "dt = nan", 8, "integrator.dt"),
+        ("t_end = 6.283185307179586", "t_end = inf", 10, "integrator.t_end"),
+        ("y = [1.0]", "y = [1.0, nan]", 13, "initial.y"),
+    ],
+    ids=["dt-nan", "t_end-inf", "y-nan"],
+)
+def test_non_finite_numbers_rejected_with_line(tmp_path, old, new, line, key):
+    with pytest.raises(ConfigError, match=f"line {line}: {key} must be .*finite") as info:
+        load_config(write(tmp_path, OSCILLATOR.replace(old, new)))
+    assert info.value.line == line

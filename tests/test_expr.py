@@ -151,6 +151,15 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             parse("y1^-2").evaluate({"y1": 0.0})
 
+    def test_large_integer_power_of_negative_base(self):
+        assert parse("y1^2000").evaluate({"y1": -1.0}) == 1.0
+        assert parse("y1^2001").evaluate({"y1": -1.0}) == -1.0
+        # Squaring is exact on powers of two, down to the subnormals.
+        assert parse("y1^1030").evaluate({"y1": 0.5}) == 2.0**-1030
+        assert parse("y1^1025").evaluate({"y1": -2.0}) == -math.inf
+        _, grad = value_gradient(parse("y1^2000"), ("y1",), {"y1": -1.0})
+        assert grad.tolist() == [-2000.0]
+
     def test_zero_to_zero(self):
         assert parse("y1^0").evaluate({"y1": 0.0}) == 1.0
 
@@ -396,6 +405,15 @@ class TestCompiledMatchesTrees:
             compiled = value_gradient_hessian(e, ("y1",), point)
             assert _bits(compiled) == _bits(_evaluate_trees(e, ("y1",), point, hessian=True))
 
+    @pytest.mark.parametrize("n", [1024, 1025, 2000, 2001, -1025, -2000, -2001])
+    def test_large_integer_powers_match_the_trees(self, rng, n):
+        y1 = Var("y1")
+        e = expression(0.5 * y1 ** float(n) + y1 ** (float(n) * Var("t")))
+        for x in (*rng.uniform(0.995, 1.005, 20), *rng.uniform(-1.005, -0.995, 20), 1.0, -1.0):
+            point = {"y1": float(x), "t": 1.0}
+            compiled = value_gradient_hessian(e, ("y1",), point)
+            assert _bits(compiled) == _bits(_evaluate_trees(e, ("y1",), point, hessian=True))
+
     def test_integer_valued_variable_exponent(self):
         e = parse("y1^t")
         value, grad, hess = value_gradient_hessian(e, ("y1",), {"y1": -3.0, "t": 2.0})
@@ -410,6 +428,7 @@ class TestCompiledMatchesTrees:
             ("sqrt(y1)", 0.0, "division by zero in '1.0/(2.0*sqrt(y1))'"),
             ("y1^0.5", 0.0, "non-integer exponent requires a positive base in 'y1^0.5'"),
             ("y1^-2", 0.0, "negative power of zero in 'y1^(-2.0)'"),
+            ("y1^-2000", 0.0, "negative power of zero in 'y1^(-2000.0)'"),
         ],
     )
     def test_domain_errors_name_the_failing_subtree(self, source, x, message):

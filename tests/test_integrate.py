@@ -306,6 +306,30 @@ class TestStepRequests:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "t, t_target, dt",
+        [(0.0, (_SAMPLE_BUDGET + 1) * 0.5, 0.5), (0.0, -1.0, 1e-300), (0.0, 1e300, 1e-300)],
+        ids=["just-over", "backwards", "overflowing"],
+    )
+    def test_target_span_over_the_step_budget_is_refused_before_stepping(self, t, t_target, dt):
+        def rhs(s, state):
+            raise AssertionError("stepped")
+
+        with pytest.raises(InputError, match=f"more than {_SAMPLE_BUDGET} steps"):
+            rk4_to(rhs, t, [1.0], t_target, dt)
+
+    def test_target_span_at_the_step_budget_is_accepted(self):
+        calls = []
+
+        def rhs(s, state):
+            calls.append(s)
+            raise DomainError("stop", "y1")
+
+        # Accepted by the budget: the first evaluation is reached.
+        with pytest.raises(DomainError):
+            rk4_to(rhs, 0.0, [1.0], _SAMPLE_BUDGET * 0.5, 0.5)
+        assert calls == [0.0]
+
     def test_sample_budget_is_checked_before_allocating(self):
         tracemalloc.start()
         try:

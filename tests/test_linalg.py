@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -86,3 +90,47 @@ class TestInputs:
         for n in range(1, 9):
             a = well_conditioned(rng, n)
             assert np.allclose(checked_inverse(a) @ a, np.eye(n), rtol=0.0, atol=1e-14)
+
+
+# Runs in a fresh interpreter: importing tdmech.cli and every path below must
+# leave scipy unloaded, and the first solve must load it and match scipy.
+_LAZY_LAPACK_SCRIPT = """
+import sys
+
+import numpy as np
+
+import tdmech.cli  # noqa: F401
+from tdmech.bundle import JetPoint, ReferenceFrame, VerticalPhasePoint
+from tdmech.constraints import constrained_hamilton_residual
+from tdmech.expr import parse
+from tdmech.hamilton import HamiltonianForm, integrate_hamilton
+from tdmech.lagrange import Lagrangian, legendre_map
+from tdmech.linalg import checked_solve
+from tdmech.poisson import bracket_vertical, evolution_derivative_split
+
+H = HamiltonianForm.parse("0.5*p1^2 + 0.5*y1^2 + 0.1*t*y1", 1)
+traj = integrate_hamilton(H, VerticalPhasePoint(0.0, [1.0], [0.0]), 0.1, 0.01)
+constrained_hamilton_residual(H, None, traj)
+q = VerticalPhasePoint(0.2, [0.3], [-0.4])
+evolution_derivative_split(H, ReferenceFrame.parse(["0.5*y1"]), parse("y1*p1"), q)
+bracket_vertical(parse("y1^2"), parse("p1*y1"), q)
+legendre_map(Lagrangian.parse("0.5*exp(y1)*v1^2", 1), JetPoint(0.3, [0.4], [-0.7]))
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+a = np.array([[4.0, 1.0, -2.0], [1.0, 3.0, 0.5], [-2.0, 0.5, 5.0]])
+b = np.array([1.0, -2.0, 0.25])
+x = checked_solve(a, b)
+assert "scipy" in sys.modules
+import scipy.linalg
+
+assert x.tobytes() == scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b).tobytes()
+"""
+
+
+def test_lapack_is_bound_on_first_solve():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_LAPACK_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
