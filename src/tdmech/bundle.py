@@ -15,6 +15,7 @@ configuration vector fields to the phase space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, SingularMatrix
-from .expr import Expression, parse
+from .expr import Expression, parse, value_gradient
 from .integrate import rk4_to
 
 
@@ -67,19 +68,44 @@ def check_free_vars(expr: Expression, allowed: Sequence[str], role: str):
         raise InputError(f"{role} may not depend on {', '.join(extra)} (expression '{expr}')")
 
 
+def _check_same_n(owner: str, n: int, other: str, m: int) -> None:
+    if m != n:
+        raise InputError(f"{owner} has n={n} but {other} has n={m}")
+
+
 def _as_vector(values, n: int, role: str) -> np.ndarray:
     out = np.asarray(values, dtype=float)
+    if out.ndim == 0:
+        out = out.reshape(1)
     if out.shape != (n,):
         raise InputError(f"{role} must have {n} components, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    # Faster than np.isfinite on the short vectors of a point.
+    if not all(map(math.isfinite, out.tolist())):
         raise InputError(f"{role} must be finite")
     return out
 
 
-def _finite_scalar(value: float, role: str) -> float:
+def _check_point(point, scalars: tuple[str, ...], base: str, vectors: tuple[str, ...]) -> None:
+    """Store a frozen point's fields as finite floats, checked in argument
+    order with the base vector's finiteness last.  The base fixes the
+    dimension, and a scalar counts as a 1-vector."""
+    for name in scalars:
+        value = float(getattr(point, name))
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite")
+        object.__setattr__(point, name, value)
+    base_values = np.atleast_1d(np.asarray(getattr(point, base), dtype=float))
+    object.__setattr__(point, base, base_values)
+    for name in vectors:
+        object.__setattr__(point, name, _as_vector(getattr(point, name), base_values.size, name))
+    _as_vector(base_values, base_values.size, base)
+
+
+def _time_component(value: float, role: str) -> float:
+    """A vector field's time component, which must be 0 or 1."""
     out = float(value)
-    if not np.isfinite(out):
-        raise InputError(f"{role} must be finite")
+    if out not in (0.0, 1.0):
+        raise InputError(f"the time component of a {role} must be 0 or 1")
     return out
 
 
@@ -92,11 +118,7 @@ class JetPoint:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _finite_scalar(self.t, "t"))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "v", _as_vector(self.v, y.size, "v"))
-        _as_vector(y, y.size, "y")
+        _check_point(self, ("t",), "y", ("v",))
 
     @property
     def n(self) -> int:
@@ -113,12 +135,7 @@ class SecondJetPoint:
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _finite_scalar(self.t, "t"))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "v", _as_vector(self.v, y.size, "v"))
-        object.__setattr__(self, "a", _as_vector(self.a, y.size, "a"))
-        _as_vector(y, y.size, "y")
+        _check_point(self, ("t",), "y", ("v", "a"))
 
     @property
     def n(self) -> int:
@@ -141,13 +158,7 @@ class RepeatedJetPoint:
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _finite_scalar(self.t, "t"))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "v", _as_vector(self.v, y.size, "v"))
-        object.__setattr__(self, "vhat", _as_vector(self.vhat, y.size, "vhat"))
-        object.__setattr__(self, "a", _as_vector(self.a, y.size, "a"))
-        _as_vector(y, y.size, "y")
+        _check_point(self, ("t",), "y", ("v", "vhat", "a"))
 
     @property
     def n(self) -> int:
@@ -163,11 +174,7 @@ class VerticalPhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _finite_scalar(self.t, "t"))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "p", _as_vector(self.p, y.size, "p"))
-        _as_vector(y, y.size, "y")
+        _check_point(self, ("t",), "y", ("p",))
 
     @property
     def n(self) -> int:
@@ -184,12 +191,7 @@ class HomogeneousPhasePoint:
     p0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _finite_scalar(self.t, "t"))
-        object.__setattr__(self, "p0", _finite_scalar(self.p0, "p0"))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "p", _as_vector(self.p, y.size, "p"))
-        _as_vector(y, y.size, "y")
+        _check_point(self, ("t", "p0"), "y", ("p",))
 
     @property
     def n(self) -> int:
@@ -208,12 +210,8 @@ class VerticalTangent:
     dt: float = 0.0
 
     def __post_init__(self):
-        dy = np.atleast_1d(np.asarray(self.dy, dtype=float))
-        object.__setattr__(self, "dy", dy)
-        object.__setattr__(self, "dp", _as_vector(self.dp, dy.size, "dp"))
-        if float(self.dt) not in (0.0, 1.0):
-            raise InputError("the time component of a phase tangent must be 0 or 1")
-        object.__setattr__(self, "dt", float(self.dt))
+        _check_point(self, (), "dy", ("dp",))
+        object.__setattr__(self, "dt", _time_component(self.dt, "phase tangent"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +222,7 @@ class JetTangent:
     dv: np.ndarray
 
     def __post_init__(self):
-        dy = np.atleast_1d(np.asarray(self.dy, dtype=float))
-        object.__setattr__(self, "dy", dy)
-        object.__setattr__(self, "dv", _as_vector(self.dv, dy.size, "dv"))
+        _check_point(self, (), "dy", ("dv",))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +254,28 @@ def homogeneous_bindings(q: HomogeneousPhasePoint) -> dict[str, float]:
     out = phase_bindings(q.vertical())
     out["p0"] = float(q.p0)
     return out
+
+
+def _field_jacobian(
+    components: Sequence[Expression], variables: Sequence[str], env
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values of field components at a point and their Jacobian,
+    ``jac[j, i] = d components[j] / d variables[i]``."""
+    values = np.empty(len(components))
+    jac = np.empty((len(components), len(variables)))
+    for j, comp in enumerate(components):
+        values[j], jac[j] = value_gradient(comp, variables, env)
+    return values, jac
+
+
+def _validate_field(u_t: float, u: Sequence[Expression], n: int, role: str) -> float:
+    """Check a vector field ``(u_t, u(t, y))`` on the event space; return ``u_t``."""
+    u_t = _time_component(u_t, role)
+    if len(u) != n:
+        raise InputError(f"field must have {n} components")
+    for comp in u:
+        check_free_vars(comp, base_vars(n), f"a {role} component")
+    return u_t
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +361,7 @@ class PhaseVectorField:
     u: tuple[Expression, ...]
 
     def __post_init__(self):
-        if float(self.u_t) not in (0.0, 1.0):
-            raise InputError("the time component of a lifted field must be 0 or 1")
-        object.__setattr__(self, "u_t", float(self.u_t))
-        n = len(self.u)
-        for comp in self.u:
-            check_free_vars(comp, base_vars(n), "a lifted field component")
+        object.__setattr__(self, "u_t", _validate_field(self.u_t, self.u, self.n, "lifted field"))
 
     @property
     def n(self) -> int:
@@ -356,12 +369,8 @@ class PhaseVectorField:
 
     def at(self, q: VerticalPhasePoint) -> tuple[float, np.ndarray, np.ndarray]:
         """Components ``(dt, dy, dp)`` at a phase point."""
-        if q.n != self.n:
-            raise InputError(f"field has {self.n} components but point has {q.n}")
-        env = event_bindings(q.t, q.y, self.n)
-        names = y_names(self.n)
-        dy = np.array([comp.evaluate(env) for comp in self.u])
-        jac = np.array([comp.gradient(names, env) for comp in self.u])  # jac[j, i] = d u^j / d y^i
+        _check_same_n("field", self.n, "point", q.n)
+        dy, jac = _field_jacobian(self.u, y_names(self.n), event_bindings(q.t, q.y, self.n))
         dp = -jac.T @ q.p
         return self.u_t, dy, dp
 
@@ -372,8 +381,7 @@ class PhaseVectorField:
 
 def relative_velocity(frame: ReferenceFrame, j: JetPoint) -> np.ndarray:
     """Velocity of the jet as measured by the frame's observer: ``v - Gamma``."""
-    if frame.n != j.n:
-        raise InputError(f"frame has {frame.n} components but jet has {j.n}")
+    _check_same_n("frame", frame.n, "jet", j.n)
     return j.v - frame.velocity(j.t, j.y)
 
 
@@ -386,7 +394,7 @@ def adapted_coordinates(
     backward) with fixed-step RK4.  Events on the same observer line map to
     the same label, which is what makes the result frame-adapted.
     """
-    y0 = _as_vector(np.atleast_1d(y), frame.n, "y")
+    y0 = _as_vector(y, frame.n, "y")
 
     def rhs(s: float, state: np.ndarray) -> np.ndarray:
         return frame.velocity(s, state)
@@ -408,13 +416,10 @@ def holonomic_phase_transform(
     Jacobian of the inverse map evaluated at the new position, so that
     ``p'.dy'`` agrees with ``p.dy``.
     """
-    if auto.n != q.n:
-        raise InputError(f"transform has {auto.n} components but point has {q.n}")
+    _check_same_n("transform", auto.n, "point", q.n)
     y_new = auto.apply(q.t, q.y)
-    env = event_bindings(q.t, y_new, auto.n)
-    names = y_names(auto.n)
     # rows j: gradient of old-coordinate expression j in the new coordinates
-    jac = np.array([comp.gradient(names, env) for comp in auto.inverse])
+    _, jac = _field_jacobian(auto.inverse, y_names(auto.n), event_bindings(q.t, y_new, auto.n))
     det = float(np.linalg.det(jac))
     if abs(det) < 1e-12:
         raise SingularMatrix(f"coordinate-change Jacobian is singular (det={det!r})")

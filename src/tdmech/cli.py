@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bundle import JetPoint, VerticalPhasePoint, HomogeneousPhasePoint, p_names, v_names, y_names
-from .config import SystemConfig, load_config
+from .config import DEFAULT_SEED, SystemConfig, load_config
 from .constraints import (
     ASSOCIATION_TOLERANCE,
     CONSTRAINT_TOLERANCE,
@@ -40,6 +40,7 @@ from .hamilton import (
     canonical_check,
     integrate_hamilton,
 )
+from .integrate import _SAMPLE_BUDGET
 from .lagrange import Lagrangian, integrate_lagrange, legendre_invert, legendre_map
 from .poisson import bracket_homogeneous, bracket_lagrangian, bracket_vertical
 from .relativity import (
@@ -59,14 +60,21 @@ def _format_row(values) -> str:
     return ",".join("%.17g" % value for value in values)
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> int:
+def _csv_command(out_dir: str, name: str, header: Sequence[str], rows) -> int:
+    path = os.path.join(out_dir, name)
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(_format_row(row) + "\n")
             count += 1
-    return count
+    print(f"wrote {path} ({count} rows)")
+    return 0
+
+
+def _trajectory_command(out_dir: str, header: Sequence[str], traj) -> int:
+    rows = ((t, *state) for t, state in zip(traj.times, traj.states))
+    return _csv_command(out_dir, "trajectory.csv", header, rows)
 
 
 def _write_report(path: str, records: Sequence[dict]) -> None:
@@ -116,12 +124,26 @@ def _integrator(config: SystemConfig, args):
     return dt, t0, t_end
 
 
-def _sampling(config: SystemConfig, args):
+def _sampling(config: SystemConfig, args, width: int, sets: int = 1) -> np.ndarray:
+    """``sets * samples`` points of ``width`` coordinates, uniform in [-1, 1):
+    the same numbers as drawing the points one at a time."""
     seed = args.seed if args.seed is not None else config.seed
     samples = args.samples if args.samples is not None else config.samples
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     if samples < 1:
         raise InputError("samples must be at least 1")
-    return np.random.default_rng(seed), samples
+    if sets * samples * width > _SAMPLE_BUDGET:
+        raise InputError(f"{sets * samples}x{width} samples exceed the budget of {_SAMPLE_BUDGET}")
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(sets * samples, width))
+
+
+def _tolerance(args, default: float) -> float:
+    if args.tolerance is None:
+        return default
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise InputError(f"tolerance must be finite and non-negative, got {args.tolerance!r}")
+    return args.tolerance
 
 
 def _lagrangian(config: SystemConfig) -> Lagrangian:
@@ -140,13 +162,7 @@ def cmd_simulate_lagrange(config: SystemConfig, args, out_dir: str) -> int:
     v = _require(config.initial.v, "simulate-lagrange needs initial.v")
     dt, t0, t_end = _integrator(config, args)
     traj = integrate_lagrange(L, JetPoint(t0, y, v), t_end, dt)
-    path = os.path.join(out_dir, "trajectory.csv")
-    header = ["t", *y_names(config.n), *v_names(config.n)]
-    rows = _write_csv(
-        path, header, ((t, *state) for t, state in zip(traj.times, traj.states))
-    )
-    print(f"wrote {path} ({rows} rows)")
-    return 0
+    return _trajectory_command(out_dir, ["t", *y_names(config.n), *v_names(config.n)], traj)
 
 
 def cmd_simulate_hamilton(config: SystemConfig, args, out_dir: str) -> int:
@@ -155,86 +171,55 @@ def cmd_simulate_hamilton(config: SystemConfig, args, out_dir: str) -> int:
     p = _require(config.initial.p, "simulate-hamilton needs initial.p")
     dt, t0, t_end = _integrator(config, args)
     traj = integrate_hamilton(H, VerticalPhasePoint(t0, y, p), t_end, dt)
-    path = os.path.join(out_dir, "trajectory.csv")
-    header = ["t", *y_names(config.n), *p_names(config.n)]
-    rows = _write_csv(
-        path, header, ((t, *state) for t, state in zip(traj.times, traj.states))
-    )
-    print(f"wrote {path} ({rows} rows)")
-    return 0
+    return _trajectory_command(out_dir, ["t", *y_names(config.n), *p_names(config.n)], traj)
 
 
 def cmd_legendre(config: SystemConfig, args, out_dir: str) -> int:
     L = _lagrangian(config)
-    rng, samples = _sampling(config, args)
     n = config.n
+    points = _sampling(config, args, 2 * n + 1)
 
     def rows():
-        for _ in range(samples):
-            t = rng.uniform(-1.0, 1.0)
-            y = rng.uniform(-1.0, 1.0, size=n)
-            v = rng.uniform(-1.0, 1.0, size=n)
-            q = legendre_map(L, JetPoint(t, y, v))
-            yield (t, *y, *v, *q.p)
+        for coords in points:
+            q = legendre_map(L, JetPoint(coords[0], coords[1 : n + 1], coords[n + 1 :]))
+            yield (*coords, *q.p)
 
-    path = os.path.join(out_dir, "legendre.csv")
     header = ["t", *y_names(n), *v_names(n), *p_names(n)]
-    count = _write_csv(path, header, rows())
-    print(f"wrote {path} ({count} rows)")
-    return 0
+    return _csv_command(out_dir, "legendre.csv", header, rows())
 
 
 def cmd_bracket(config: SystemConfig, args, out_dir: str) -> int:
     section = _require(config.bracket, "this command needs a [bracket] section")
     f = parse_expression(section.f)
     g = parse_expression(section.g)
-    rng, samples = _sampling(config, args)
     n = config.n
-    path = os.path.join(out_dir, "bracket.csv")
-
     if section.space == "vertical":
-        header = ["t", *y_names(n), *p_names(n), "value"]
+        header = ["t", *y_names(n), *p_names(n)]
 
-        def rows():
-            for _ in range(samples):
-                coords = rng.uniform(-1.0, 1.0, size=2 * n + 1)
-                q = VerticalPhasePoint(coords[0], coords[1 : n + 1], coords[n + 1 :])
-                yield (*coords, bracket_vertical(f, g, q))
+        def value(coords):
+            q = VerticalPhasePoint(coords[0], coords[1 : n + 1], coords[n + 1 :])
+            return bracket_vertical(f, g, q)
 
     elif section.space == "homogeneous":
-        header = ["t", *y_names(n), *p_names(n), "p0", "value"]
+        header = ["t", *y_names(n), *p_names(n), "p0"]
 
-        def rows():
-            for _ in range(samples):
-                coords = rng.uniform(-1.0, 1.0, size=2 * n + 2)
-                q = HomogeneousPhasePoint(
-                    coords[0], coords[1 : n + 1], coords[n + 1 : 2 * n + 1], coords[-1]
-                )
-                yield (*coords, bracket_homogeneous(f, g, q))
+        def value(coords):
+            q = HomogeneousPhasePoint(
+                coords[0], coords[1 : n + 1], coords[n + 1 : 2 * n + 1], coords[-1]
+            )
+            return bracket_homogeneous(f, g, q)
 
     else:
         L = _lagrangian(config)
-        header = ["t", *y_names(n), *v_names(n), "value"]
+        header = ["t", *y_names(n), *v_names(n)]
 
-        def rows():
-            for _ in range(samples):
-                coords = rng.uniform(-1.0, 1.0, size=2 * n + 1)
-                j = JetPoint(coords[0], coords[1 : n + 1], coords[n + 1 :])
-                yield (*coords, bracket_lagrangian(f, g, L, j))
+        def value(coords):
+            j = JetPoint(coords[0], coords[1 : n + 1], coords[n + 1 :])
+            return bracket_lagrangian(f, g, L, j)
 
-    count = _write_csv(path, header, rows())
-    print(f"wrote {path} ({count} rows)")
-    return 0
-
-
-def _phase_samples(rng, samples: int, n: int) -> list[VerticalPhasePoint]:
-    points = []
-    for _ in range(samples):
-        coords = rng.uniform(-1.0, 1.0, size=2 * n + 1)
-        points.append(
-            VerticalPhasePoint(coords[0], coords[1 : n + 1], coords[n + 1 :])
-        )
-    return points
+    points = _sampling(config, args, len(header))
+    rows = ((*coords, value(coords)) for coords in points)
+    return _csv_command(out_dir, "bracket.csv", [*header, "value"], rows)
 
 
 def cmd_check_canonical(config: SystemConfig, args, out_dir: str) -> int:
@@ -245,10 +230,10 @@ def cmd_check_canonical(config: SystemConfig, args, out_dir: str) -> int:
         if args.transform not in config.transforms:
             raise InputError(f"no [transform.{args.transform}] section in the config")
         names = [args.transform]
-    tolerance = args.tolerance if args.tolerance is not None else CANONICAL_TOLERANCE
-    rng, samples = _sampling(config, args)
+    tolerance = _tolerance(args, CANONICAL_TOLERANCE)
     n = config.n
-    points = _phase_samples(rng, samples, n)
+    rows = _sampling(config, args, 2 * n + 1)
+    points = [VerticalPhasePoint(c[0], c[1 : n + 1], c[n + 1 :]) for c in rows]
 
     expected = set(y_names(n)) | set(p_names(n))
     records = []
@@ -272,6 +257,7 @@ def cmd_check_conservation(config: SystemConfig, args, out_dir: str) -> int:
     y = _require(config.initial.y, "check-conservation needs initial.y")
     v = _require(config.initial.v, "check-conservation needs initial.v")
     dt, t0, t_end = _integrator(config, args)
+    drift_tolerance = _tolerance(args, DRIFT_TOLERANCE)
 
     if config.symmetry is not None:
         u_t = config.symmetry.u_t
@@ -285,7 +271,6 @@ def cmd_check_conservation(config: SystemConfig, args, out_dir: str) -> int:
 
     traj = integrate_lagrange(L, JetPoint(t0, y, v), t_end, dt)
     report = weak_identity_residual(L, u_t, u, traj)
-    drift_tolerance = args.tolerance if args.tolerance is not None else DRIFT_TOLERANCE
     records = [
         _record("current-drift", report.max_drift, drift_tolerance),
         _record("weak-identity", report.max_residual, WEAK_IDENTITY_TOLERANCE),
@@ -296,14 +281,12 @@ def cmd_check_conservation(config: SystemConfig, args, out_dir: str) -> int:
 def cmd_check_association(config: SystemConfig, args, out_dir: str) -> int:
     L = _lagrangian(config)
     H = _hamiltonian(config)
-    tolerance = args.tolerance if args.tolerance is not None else ASSOCIATION_TOLERANCE
-    rng, samples = _sampling(config, args)
+    tolerance = _tolerance(args, ASSOCIATION_TOLERANCE)
     n = config.n
-    jets = []
-    for _ in range(samples):
-        coords = rng.uniform(-1.0, 1.0, size=2 * n + 1)
-        jets.append(JetPoint(coords[0], coords[1 : n + 1], coords[n + 1 :]))
-    phases = _phase_samples(rng, samples, n)
+    # The jets are drawn first, then the phase points.
+    jet_rows, phase_rows = np.split(_sampling(config, args, 2 * n + 1, sets=2), 2)
+    jets = [JetPoint(c[0], c[1 : n + 1], c[n + 1 :]) for c in jet_rows]
+    phases = [VerticalPhasePoint(c[0], c[1 : n + 1], c[n + 1 :]) for c in phase_rows]
     report = association_check(L, H, jets, phases, tolerance)
     records = [
         _record("association-map", report.map_residual, tolerance),
@@ -318,7 +301,7 @@ def cmd_check_constraints(config: SystemConfig, args, out_dir: str) -> int:
     y = _require(config.initial.y, "check-constraints needs initial.y")
     p = _require(config.initial.p, "check-constraints needs initial.p")
     dt, t0, t_end = _integrator(config, args)
-    tolerance = args.tolerance if args.tolerance is not None else CONSTRAINT_TOLERANCE
+    tolerance = _tolerance(args, CONSTRAINT_TOLERANCE)
 
     traj = integrate_hamilton(H, VerticalPhasePoint(t0, y, p), t_end, dt)
     space = ConstraintSpace(L, H)
@@ -355,18 +338,13 @@ def cmd_rel_transform(config: SystemConfig, args, out_dir: str) -> int:
         header += ["dz0"] + [f"dz{i}" for i in range(1, m + 1)]
         row += [lift.dz0, *lift.dz]
 
-    path = os.path.join(out_dir, "transform.csv")
-    _write_csv(path, header, [row])
-    print(f"wrote {path} (1 rows)")
-    return 0
+    return _csv_command(out_dir, "transform.csv", header, [row])
 
 
 def cmd_self_test(config, args, out_dir: str) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 20260823)
-
     records = []
 
-    coords = rng.uniform(-1.0, 1.0, size=3)
+    coords = _sampling(SystemConfig(n=1, seed=DEFAULT_SEED, samples=1), args, 3)[0]
     q = VerticalPhasePoint(coords[0], coords[1:2], coords[2:])
     pairing = bracket_vertical(parse_expression("y1"), parse_expression("p1"), q)
     records.append(_record("self:pairing", abs(pairing - 1.0), 1e-12))

@@ -381,6 +381,9 @@ def load_config(path) -> SystemConfig:
 
     lagrangian = system.expression("lagrangian")
     hamiltonian = system.expression("hamiltonian")
+    seed = sampling.integer("seed", DEFAULT_SEED)
+    if seed < 0:
+        raise sampling.fail("seed", f"must be non-negative, got {seed}")
 
     return SystemConfig(
         n=n,
@@ -389,7 +392,7 @@ def load_config(path) -> SystemConfig:
         frame=frame,
         transforms=checked_transforms,
         metric=metric,
-        seed=sampling.integer("seed", DEFAULT_SEED),
+        seed=seed,
         samples=sampling.integer("samples", DEFAULT_SAMPLES),
         integrator=integrator,
         initial=initial,

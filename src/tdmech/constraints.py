@@ -20,6 +20,7 @@ from .bundle import (
     JetPoint,
     RepeatedJetPoint,
     VerticalPhasePoint,
+    _check_same_n,
     jet_bindings,
     phase_bindings,
     phase_vars,
@@ -185,8 +186,7 @@ def constrained_hamilton_residual(
     if traj.kind != "phase":
         raise InputError("constrained check expects a phase trajectory")
     n = H.n
-    if traj.n != n:
-        raise InputError(f"Hamiltonian has n={H.n} but trajectory has n={traj.n}")
+    _check_same_n("Hamiltonian", H.n, "trajectory", traj.n)
     if constraints is not None and constraints.n != n:
         raise InputError("constraint space dimension mismatch")
 

@@ -17,13 +17,15 @@ from .bundle import (
     JetPoint,
     ReferenceFrame,
     VerticalPhasePoint,
+    _check_same_n,
+    _field_jacobian,
+    _validate_field,
     base_vars,
-    check_free_vars,
     event_bindings,
     phase_bindings,
 )
 from .errors import InputError, OffShellTrajectory
-from .expr import Expression, value_gradient
+from .expr import Expression
 from .hamilton import HamiltonianForm
 from .integrate import Trajectory, difference_quotients
 from .lagrange import Lagrangian, _Derivatives, _el_residual_with_rates
@@ -31,32 +33,11 @@ from .lagrange import Lagrangian, _Derivatives, _el_residual_with_rates
 ON_SHELL_TOLERANCE = 1e-5
 
 
-def _validate_field(u_t: float, u: Sequence[Expression], n: int) -> float:
-    if float(u_t) not in (0.0, 1.0):
-        raise InputError("the time component of a symmetry field must be 0 or 1")
-    if len(u) != n:
-        raise InputError(f"field must have {n} components")
-    for comp in u:
-        check_free_vars(comp, base_vars(n), "a symmetry field component")
-    return float(u_t)
-
-
-def _field_values(u: Sequence[Expression], t: float, y: np.ndarray, n: int):
-    """Values and total time rates of the field components along a jet."""
-    env = event_bindings(t, y, n)
-    names = base_vars(n)
-    values = np.empty(n)
-    jac = np.empty((n, n + 1))
-    for i, comp in enumerate(u):
-        values[i], jac[i] = value_gradient(comp, names, env)
-    return values, jac
-
-
 def _current_and_lie(
     d: _Derivatives, u_t: float, u: Sequence[Expression], t: float, y: np.ndarray, v: np.ndarray
 ) -> tuple[float, float]:
     """Current and Lie derivative of L along the prolonged field at one jet."""
-    values, jac = _field_values(u, t, y, y.size)
+    values, jac = _field_jacobian(u, base_vars(y.size), event_bindings(t, y, y.size))
     rates = jac[:, 0] + jac[:, 1:] @ v
     current = float(d.grad_v @ (u_t * v - values)) - u_t * d.value
     lie = u_t * d.grad_t + float(values @ d.grad_y) + float(rates @ d.grad_v)
@@ -65,28 +46,24 @@ def _current_and_lie(
 
 def symmetry_current(L: Lagrangian, u_t: float, u: Sequence[Expression], j: JetPoint) -> float:
     """Current carried by a symmetry candidate: ``pi (u^t v - u) - u^t L``."""
-    u_t = _validate_field(u_t, u, L.n)
-    if j.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
+    u_t = _validate_field(u_t, u, L.n, "symmetry field")
+    _check_same_n("Lagrangian", L.n, "jet", j.n)
     d = _Derivatives(L, j.t, j.y, j.v)
     return _current_and_lie(d, u_t, u, j.t, j.y, j.v)[0]
 
 
 def energy_function(L: Lagrangian, frame: ReferenceFrame, j: JetPoint) -> float:
     """Energy relative to a reference frame: ``pi (v - Gamma) - L``."""
-    if frame.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but frame has n={frame.n}")
-    if j.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
+    _check_same_n("Lagrangian", L.n, "frame", frame.n)
+    _check_same_n("Lagrangian", L.n, "jet", j.n)
     d = _Derivatives(L, j.t, j.y, j.v)
     return float(d.grad_v @ (j.v - frame.velocity(j.t, j.y))) - d.value
 
 
 def lie_derivative(L: Lagrangian, u_t: float, u: Sequence[Expression], j: JetPoint) -> float:
     """Directional derivative of L along the prolonged symmetry field."""
-    u_t = _validate_field(u_t, u, L.n)
-    if j.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
+    u_t = _validate_field(u_t, u, L.n, "symmetry field")
+    _check_same_n("Lagrangian", L.n, "jet", j.n)
     d = _Derivatives(L, j.t, j.y, j.v)
     return _current_and_lie(d, u_t, u, j.t, j.y, j.v)[1]
 
@@ -122,12 +99,11 @@ def weak_identity_residual(
     whose finite-difference accelerations violate the equations of motion
     beyond 1e-5 is rejected as off shell.
     """
-    u_t = _validate_field(u_t, u, L.n)
+    u_t = _validate_field(u_t, u, L.n, "symmetry field")
     if traj.kind != "jet":
         raise InputError("weak-identity check expects a jet trajectory")
     n = L.n
-    if traj.n != n:
-        raise InputError(f"Lagrangian has n={L.n} but trajectory has n={traj.n}")
+    _check_same_n("Lagrangian", L.n, "trajectory", traj.n)
 
     accelerations = difference_quotients(traj.states[:, n:], traj.dt)
     values = np.empty(traj.n_samples)
@@ -150,8 +126,7 @@ def hamiltonian_current(
     H: HamiltonianForm, u_t: float, u: Sequence[Expression], q: VerticalPhasePoint
 ) -> float:
     """Phase-space counterpart of the symmetry current: ``-p u + u^t H``."""
-    u_t = _validate_field(u_t, u, H.n)
-    if q.n != H.n:
-        raise InputError(f"Hamiltonian has n={H.n} but point has n={q.n}")
-    values, _ = _field_values(u, q.t, q.y, H.n)
+    u_t = _validate_field(u_t, u, H.n, "symmetry field")
+    _check_same_n("Hamiltonian", H.n, "point", q.n)
+    values, _ = _field_jacobian(u, base_vars(H.n), event_bindings(q.t, q.y, H.n))
     return -float(q.p @ values) + u_t * H.expr.evaluate(phase_bindings(q))

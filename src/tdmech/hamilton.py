@@ -21,6 +21,8 @@ from .bundle import (
     ReferenceFrame,
     VerticalPhasePoint,
     VerticalTangent,
+    _check_same_n,
+    _field_jacobian,
     check_free_vars,
     p_names,
     phase_bindings,
@@ -76,8 +78,7 @@ def _hamilton_field(H: HamiltonianForm):
 
 def hamilton_rhs(H: HamiltonianForm, q: VerticalPhasePoint) -> VerticalTangent:
     """Right-hand side of the Hamilton equations at a phase point."""
-    if q.n != H.n:
-        raise InputError(f"Hamiltonian has n={H.n} but point has n={q.n}")
+    _check_same_n("Hamiltonian", H.n, "point", q.n)
     field = _hamilton_field(H)(float(q.t), np.concatenate([q.y, q.p]).tolist())
     return VerticalTangent(dy=field[: H.n], dp=field[H.n :], dt=1.0)
 
@@ -86,8 +87,7 @@ def integrate_hamilton(
     H: HamiltonianForm, q0: VerticalPhasePoint, t_end: float, dt: float
 ) -> Trajectory:
     """Fixed-step RK4 flow of the Hamilton equations, sampled every step."""
-    if q0.n != H.n:
-        raise InputError(f"Hamiltonian has n={H.n} but start point has n={q0.n}")
+    _check_same_n("Hamiltonian", H.n, "start point", q0.n)
     n_steps = step_count(q0.t, t_end, dt)
     # The field alone would not notice a start outside H's domain: the
     # gradient of log(y1) exists where log(y1) does not.
@@ -100,8 +100,7 @@ def integrate_hamilton(
 
 def frame_splitting(H: HamiltonianForm, frame: ReferenceFrame) -> Expression:
     """Frame-dependent inner Hamiltonian ``H - p_i Gamma^i`` as an expression."""
-    if frame.n != H.n:
-        raise InputError(f"Hamiltonian has n={H.n} but frame has n={frame.n}")
+    _check_same_n("Hamiltonian", H.n, "frame", frame.n)
     root = H.expr.root
     for name, component in zip(p_names(H.n), frame.components):
         root = root - Var(name) * component.root
@@ -110,8 +109,7 @@ def frame_splitting(H: HamiltonianForm, frame: ReferenceFrame) -> Expression:
 
 def hamiltonian_map(H: HamiltonianForm, q: VerticalPhasePoint) -> JetPoint:
     """Momentum-to-velocity map: the jet with ``v = dH/dp`` at the point."""
-    if q.n != H.n:
-        raise InputError(f"Hamiltonian has n={H.n} but point has n={q.n}")
+    _check_same_n("Hamiltonian", H.n, "point", q.n)
     _, grad = _phase_gradient(H, q)
     return JetPoint(q.t, q.y, grad[H.n + 1 :])
 
@@ -152,8 +150,7 @@ class CanonicalTransform:
         return len(self.y_out)
 
     def apply(self, q: VerticalPhasePoint) -> VerticalPhasePoint:
-        if q.n != self.n:
-            raise InputError(f"transform has n={self.n} but point has n={q.n}")
+        _check_same_n("transform", self.n, "point", q.n)
         env = phase_bindings(q)
         return VerticalPhasePoint(
             q.t,
@@ -168,8 +165,8 @@ class CanonicalTransform:
         n = self.n
         names = phase_vars(n)
         env = phase_bindings(q)
-        y_jac = np.array([comp.gradient(names, env) for comp in self.y_out])
-        p_jac = np.array([comp.gradient(names, env) for comp in self.p_out])
+        _, y_jac = _field_jacobian(self.y_out, names, env)
+        _, p_jac = _field_jacobian(self.p_out, names, env)
         ys = slice(1, n + 1)
         ps = slice(n + 1, 2 * n + 1)
         return y_jac[:, ys], y_jac[:, ps], p_jac[:, ys], p_jac[:, ps]
@@ -276,7 +273,7 @@ def generating_function_residual(
         env = phase_bindings(q)
         s_grad = np.array(S.gradient(names, env))
         p_new = np.array([comp.evaluate(env) for comp in transform.p_out])
-        y_jac = np.array([comp.gradient(names, env) for comp in transform.y_out])
+        _, y_jac = _field_jacobian(transform.y_out, names, env)
 
         r_pos = s_grad[ys] - (p_new @ y_jac[:, ys] - q.p)
         r_mom = s_grad[ps] - p_new @ y_jac[:, ps]

@@ -212,9 +212,3 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return self.times.size
-
-    def first_block(self) -> np.ndarray:
-        return self.states[:, : self.n]
-
-    def second_block(self) -> np.ndarray:
-        return self.states[:, self.n :]

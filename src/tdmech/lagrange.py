@@ -21,10 +21,13 @@ from .bundle import (
     RepeatedJetPoint,
     SecondJetPoint,
     VerticalPhasePoint,
+    _check_same_n,
+    _field_jacobian,
+    _validate_field,
+    base_vars,
     check_free_vars,
     jet_vars,
     event_bindings,
-    y_names,
 )
 from .errors import InputError, NoConvergence, SingularLagrangian
 from .expr import Expression, _flow_function, parse
@@ -103,8 +106,7 @@ def momentum_and_hessian(L: Lagrangian, j: JetPoint) -> tuple[np.ndarray, np.nda
 
 def legendre_map(L: Lagrangian, j: JetPoint) -> VerticalPhasePoint:
     """Map a jet to the phase space: ``p_i = dL/dv^i``."""
-    if j.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
+    _check_same_n("Lagrangian", L.n, "jet", j.n)
     pi, _ = momentum_and_hessian(L, j)
     return VerticalPhasePoint(j.t, j.y, pi)
 
@@ -119,8 +121,7 @@ def legendre_invert(
     Hessian degenerates and :class:`NoConvergence` when the iteration budget
     runs out.
     """
-    if q.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but point has n={q.n}")
+    _check_same_n("Lagrangian", L.n, "point", q.n)
     v = np.array(q.p if guess is None else guess, dtype=float)
     if v.shape != (L.n,):
         raise InputError(f"guess must have {L.n} components")
@@ -151,24 +152,21 @@ def _el_residual_with_rates(
 
 def euler_lagrange_residual(L: Lagrangian, s: SecondJetPoint) -> np.ndarray:
     """How far second-order data is from solving the equations of motion."""
-    if s.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but point has n={s.n}")
+    _check_same_n("Lagrangian", L.n, "point", s.n)
     d = _Derivatives(L, s.t, s.y, s.v)
     return _el_residual_with_rates(d, s.v, s.a)
 
 
 def dynamic_rhs(L: Lagrangian, j: JetPoint) -> np.ndarray:
     """Accelerations of a regular Lagrangian: solve ``pi_ij a^j = dL/dy - ...``."""
-    if j.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
+    _check_same_n("Lagrangian", L.n, "jet", j.n)
     d = _Derivatives(L, j.t, j.y, j.v)
     return _accelerations(d.grad_y, d.tv, d.yv, d.vv, j.v)
 
 
 def integrate_lagrange(L: Lagrangian, j0: JetPoint, t_end: float, dt: float) -> Trajectory:
     """Integrate the second-order equations of motion with fixed-step RK4."""
-    if j0.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but start point has n={j0.n}")
+    _check_same_n("Lagrangian", L.n, "start point", j0.n)
     n = L.n
     n_steps = step_count(j0.t, t_end, dt)
 
@@ -196,8 +194,7 @@ def cartan_residual(L: Lagrangian, r: RepeatedJetPoint) -> tuple[np.ndarray, np.
     velocity matches the jet velocity (or along degenerate directions); the
     second block then reduces exactly to the Euler-Lagrange residual.
     """
-    if r.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but point has n={r.n}")
+    _check_same_n("Lagrangian", L.n, "point", r.n)
     d = _Derivatives(L, r.t, r.y, r.v)
     gap = r.vhat - r.v
     first = d.vv @ gap
@@ -207,8 +204,7 @@ def cartan_residual(L: Lagrangian, r: RepeatedJetPoint) -> tuple[np.ndarray, np.
 
 def poincare_cartan(L: Lagrangian, j: JetPoint) -> tuple[np.ndarray, float]:
     """Coefficients ``(pi_i, pi_i v^i - L)`` of the Poincare-Cartan form."""
-    if j.n != L.n:
-        raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
+    _check_same_n("Lagrangian", L.n, "jet", j.n)
     d = _Derivatives(L, j.t, j.y, j.v)
     return d.grad_v, float(d.grad_v @ j.v - d.value)
 
@@ -225,22 +221,12 @@ def first_variation(
     Poincare-Cartan form.  The three satisfy
     ``variation = equation_term + boundary_term`` identically.
     """
-    if float(u_t) not in (0.0, 1.0):
-        raise InputError("the time component of a variation field must be 0 or 1")
-    u_t = float(u_t)
     n = L.n
-    if len(u) != n:
-        raise InputError(f"field must have {n} components")
-    for comp in u:
-        check_free_vars(comp, ("t",) + y_names(n), "a variation field component")
-    if s.n != n:
-        raise InputError(f"Lagrangian has n={n} but point has n={s.n}")
+    u_t = _validate_field(u_t, u, n, "variation field")
+    _check_same_n("Lagrangian", n, "point", s.n)
 
     d = _Derivatives(L, s.t, s.y, s.v)
-    env = event_bindings(s.t, s.y, n)
-    base = ("t",) + y_names(n)
-    u_val = np.array([comp.evaluate(env) for comp in u])
-    u_grad = np.array([comp.gradient(base, env) for comp in u])
+    u_val, u_grad = _field_jacobian(u, base_vars(n), event_bindings(s.t, s.y, n))
     # d_t u^i along the jet: time slope plus advection by the velocity.
     u_rate = u_grad[:, 0] + u_grad[:, 1:] @ s.v
 

@@ -22,6 +22,8 @@ from .bundle import (
     ReferenceFrame,
     VerticalPhasePoint,
     VerticalTangent,
+    _check_same_n,
+    _field_jacobian,
     base_vars,
     check_free_vars,
     event_bindings,
@@ -85,8 +87,7 @@ class _JetStructure:
     __slots__ = ("inverse", "weight")
 
     def __init__(self, L: Lagrangian, j: JetPoint):
-        if j.n != L.n:
-            raise InputError(f"Lagrangian has n={L.n} but jet has n={j.n}")
+        _check_same_n("Lagrangian", L.n, "jet", j.n)
         d = _Derivatives(L, j.t, j.y, j.v)
         self.inverse = checked_inverse(d.vv, exc=SingularLagrangian)
         curl = d.yv - d.yv.T  # curl[k, i] = d_k pi_i - d_i pi_k
@@ -126,8 +127,7 @@ def lagrangian_hamiltonian_vector_field(f: Expression, L: Lagrangian, j: JetPoin
 def evolution_derivative(H: HamiltonianForm, f: Expression, q: VerticalPhasePoint) -> float:
     """Total time derivative of f along the Hamiltonian flow at a point."""
     n = q.n
-    if H.n != n:
-        raise InputError(f"Hamiltonian has n={H.n} but point has n={q.n}")
+    _check_same_n("Hamiltonian", H.n, "point", q.n)
     names = phase_vars(n)
     check_free_vars(f, names, "a phase function")
     env = phase_bindings(q)
@@ -158,18 +158,11 @@ def evolution_derivative_split(
     _, fg = value_gradient(f, names, env)
     _, hg = value_gradient(H.expr, names, env)
 
-    base = base_vars(n)
-    base_env = event_bindings(q.t, q.y, n)
-    gamma = np.empty(n)
-    gamma_jac = np.empty((n, n))  # gamma_jac[j, i] = d Gamma^j / d y_i
-    for jdx, comp in enumerate(frame.components):
-        value, grad = value_gradient(comp, base, base_env)
-        gamma[jdx] = value
-        gamma_jac[jdx] = grad[1:]
+    gamma, jac = _field_jacobian(frame.components, base_vars(n), event_bindings(q.t, q.y, n))
 
     ys = slice(1, n + 1)
     ps = slice(n + 1, 2 * n + 1)
-    drift = q.p @ gamma_jac  # d(p_j Gamma^j)/dy
+    drift = q.p @ jac[:, 1:]  # d(p_j Gamma^j)/dy
     transport = float(gamma @ fg[ys]) - float(drift @ fg[ps])
     inner_y = hg[ys] - drift
     inner_p = hg[ps] - gamma

@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import _as_vector, _finite_scalar, check_free_vars
+from .bundle import _check_point, _field_jacobian, check_free_vars
 from .errors import AtInfinity, ChartBoundary, InputError, SpacelikeDirection
-from .expr import Expression, parse, substitute, value_gradient
+from .expr import Expression, parse, substitute
 
 CHART_DENOMINATOR_TOLERANCE = 1e-12
 PROJECTION_TOLERANCE = 1e-15
@@ -51,11 +51,7 @@ class SubmanifoldJet:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", _finite_scalar(self.z0, "z0"))
-        z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "v", _as_vector(np.atleast_1d(self.v), z.size, "v"))
-        _as_vector(z, z.size, "z")
+        _check_point(self, ("z0",), "z", ("v",))
 
     @property
     def m(self) -> int:
@@ -72,12 +68,7 @@ class TangentVector:
     dz: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "z0", _finite_scalar(self.z0, "z0"))
-        z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "dz0", _finite_scalar(self.dz0, "dz0"))
-        object.__setattr__(self, "dz", _as_vector(np.atleast_1d(self.dz), z.size, "dz"))
-        _as_vector(z, z.size, "z")
+        _check_point(self, ("z0", "dz0"), "z", ("dz",))
 
     @property
     def m(self) -> int:
@@ -155,13 +146,9 @@ def transform_jet(transform: ChartTransform, j: SubmanifoldJet) -> SubmanifoldJe
     """
     if transform.m != j.m:
         raise InputError(f"transform has m={transform.m} but jet has m={j.m}")
-    names = chart_vars(j.m)
-    env = chart_bindings(j.z0, j.z)
-    values = np.empty(j.m + 1)
-    rates = np.empty(j.m + 1)
-    for k, comp in enumerate(transform.maps):
-        values[k], grad = value_gradient(comp, names, env)
-        rates[k] = grad[0] + grad[1:] @ j.v
+    values, jac = _field_jacobian(transform.maps, chart_vars(j.m), chart_bindings(j.z0, j.z))
+    # One dot product per row: a matrix-vector product can round differently.
+    rates = np.array([row[0] + row[1:] @ j.v for row in jac])
     if abs(rates[0]) < CHART_DENOMINATOR_TOLERANCE:
         raise ChartBoundary(
             f"time-map rate {rates[0]:.3e} vanishes: the image leaves the chart"

@@ -3,23 +3,32 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tdmech.bundle import (
     FibredAutomorphism,
+    HomogeneousPhasePoint,
     JetPoint,
+    JetTangent,
     ReferenceFrame,
+    RepeatedJetPoint,
+    SecondJetPoint,
     VerticalPhasePoint,
+    VerticalTangent,
     adapted_coordinates,
     holonomic_phase_transform,
     lift_to_phase,
     relative_velocity,
 )
+from tdmech.currents import symmetry_current
 from tdmech.errors import InputError, SingularMatrix
 from tdmech.expr import parse
 from tdmech.integrate import rk4_path
+from tdmech.lagrange import Lagrangian, first_variation
+from tdmech.relativity import SubmanifoldJet, TangentVector
 
 
 class TestRelativeVelocity:
@@ -162,3 +171,93 @@ class TestPointValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
             JetPoint(0.0, [1.0, 2.0], [0.0])
+
+
+# Each point class: (scalar fields, base vector, other vectors), in the
+# order the constructor checks them.  The base fixes the dimension.
+POINT_FIELDS = {
+    JetPoint: (("t",), "y", ("v",)),
+    SecondJetPoint: (("t",), "y", ("v", "a")),
+    RepeatedJetPoint: (("t",), "y", ("v", "vhat", "a")),
+    VerticalPhasePoint: (("t",), "y", ("p",)),
+    HomogeneousPhasePoint: (("t", "p0"), "y", ("p",)),
+    VerticalTangent: ((), "dy", ("dp",)),
+    JetTangent: ((), "dy", ("dv",)),
+    SubmanifoldJet: (("z0",), "z", ("v",)),
+    TangentVector: (("z0", "dz0"), "z", ("dz",)),
+}
+NAN = float("nan")
+
+
+def _good_fields(cls) -> dict:
+    scalars, base, vectors = POINT_FIELDS[cls]
+    fields = {name: 0.5 for name in scalars}
+    fields[base] = [0.1, 0.2]
+    fields.update({name: [0.3, 0.4] for name in vectors})
+    return fields
+
+
+def _bad_cases():
+    def case(cls, label, bad, message):
+        return pytest.param(cls, bad, message, id=f"{cls.__name__}-{label}")
+
+    for cls, (scalars, base, vectors) in POINT_FIELDS.items():
+        for name in scalars:
+            yield case(cls, f"{name}-nan", {name: NAN}, f"{name} must be finite")
+            yield case(cls, f"{name}-inf", {name: -math.inf}, f"{name} must be finite")
+        for name in vectors:
+            message = f"{name} must have 2 components, got shape (3,)"
+            yield case(cls, f"{name}-shape", {name: [0.3, 0.4, 0.5]}, message)
+            yield case(cls, f"{name}-nan", {name: [0.3, NAN]}, f"{name} must be finite")
+        yield case(cls, f"{base}-inf", {base: [0.1, math.inf]}, f"{base} must be finite")
+        # Errors come in order: scalars, then the other vectors, then the base.
+        if scalars:
+            bad = {scalars[0]: NAN, vectors[0]: [NAN]}
+            yield case(cls, "order-scalar-first", bad, f"{scalars[0]} must be finite")
+        bad = {vectors[0]: [0.3], base: [NAN, 0.2]}
+        yield case(cls, "order-base-last", bad, f"{vectors[0]} must have 2 components")
+
+
+class TestPointFieldChecks:
+    @pytest.mark.parametrize("cls, bad, message", list(_bad_cases()))
+    def test_bad_field_names_itself(self, cls, bad, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            cls(**{**_good_fields(cls), **bad})
+
+    @pytest.mark.parametrize("cls", list(POINT_FIELDS), ids=lambda c: c.__name__)
+    def test_good_fields_are_stored_as_floats(self, cls):
+        point = cls(**_good_fields(cls))
+        scalars, base, vectors = POINT_FIELDS[cls]
+        for name in scalars:
+            assert type(getattr(point, name)) is float
+        for name in (base, *vectors):
+            value = getattr(point, name)
+            assert value.dtype == float and value.shape == (2,)
+
+    @pytest.mark.parametrize("cls", list(POINT_FIELDS), ids=lambda c: c.__name__)
+    def test_scalar_vectors_are_accepted_in_one_dimension(self, cls):
+        scalars, base, vectors = POINT_FIELDS[cls]
+        fields = {name: 0.5 for name in scalars}
+        fields.update({name: 0.25 for name in (base, *vectors)})
+        point = cls(**fields)
+        for name in (base, *vectors):
+            assert getattr(point, name).tolist() == [0.25]
+
+    def test_tangent_time_component_is_zero_or_one(self):
+        assert VerticalTangent([0.0], [0.0], 1).dt == 1.0
+        assert VerticalTangent([0.0], [0.0]).dt == 0.0
+        for dt in (0.5, -1.0, NAN):
+            with pytest.raises(InputError, match="time component of a phase tangent must be 0 or 1"):
+                VerticalTangent([0.0], [0.0], dt)
+
+    @pytest.mark.parametrize("u_t", [0.5, 2.0, NAN])
+    def test_field_time_component_is_zero_or_one(self, u_t):
+        u = (parse("y1"),)
+        L = Lagrangian.parse("0.5*v1^2", 1)
+        with pytest.raises(InputError, match="time component of a lifted field must be 0 or 1"):
+            lift_to_phase(u_t, u)
+        with pytest.raises(InputError, match="time component of a symmetry field must be 0 or 1"):
+            symmetry_current(L, u_t, u, JetPoint(0.0, [1.0], [1.0]))
+        with pytest.raises(InputError, match="time component of a variation field must be 0 or 1"):
+            first_variation(L, u_t, u, SecondJetPoint(0.0, [1.0], [1.0], [0.0]))
+        assert lift_to_phase(1, u).u_t == 1.0

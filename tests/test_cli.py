@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -352,3 +353,76 @@ def test_non_finite_config_number_names_the_line(config_for, tmp_path, capsys):
     code = main(["legendre", "--config", config_for(text), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "line 8: integrator.dt must be finite" in capsys.readouterr().err
+
+
+SAMPLED = OSCILLATOR + '\n[bracket]\nf = "y1"\ng = "p1"\n\n[transform.rotate]\ny1 = "p1"\np1 = "-y1"\n'
+SAMPLED_COMMANDS = ["legendre", "bracket", "check-canonical", "check-association"]
+
+
+@pytest.mark.parametrize("command", [*SAMPLED_COMMANDS, "self-test"])
+def test_negative_seed_is_input_error(command, config_for, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([command, "--config", config_for(SAMPLED), "--out", str(out), "--seed", "-1"])
+    assert code == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_negative_config_seed_names_its_line(config_for, tmp_path, capsys):
+    text = SAMPLED + "\n[sampling]\nseed = -4\n"
+    line = text.splitlines().index("seed = -4") + 1
+    code = main(["legendre", "--config", config_for(text), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"line {line}: sampling.seed must be non-negative, got -4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 + 1), str(10**40)])
+def test_large_seeds_still_work(seed, config_for, tmp_path):
+    out = tmp_path / "out"
+    args = ["--config", config_for(SAMPLED), "--out", str(out), "--seed", seed, "--samples", "3"]
+    assert main(["legendre", *args]) == 0
+    assert len((out / "legendre.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("command", SAMPLED_COMMANDS)
+def test_sample_count_over_budget_is_refused_before_drawing(command, config_for, tmp_path, capsys):
+    from tdmech.integrate import _SAMPLE_BUDGET
+
+    out = tmp_path / "out"
+    config = config_for(SAMPLED)
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", config, "--out", str(out), "--samples", "100000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"exceed the budget of {_SAMPLE_BUDGET}" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-12"])
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("check-conservation", SAMPLED),
+        ("check-canonical", SAMPLED),
+        ("check-association", SAMPLED),
+        ("check-constraints", DEGENERATE),
+    ],
+    ids=["check-conservation", "check-canonical", "check-association", "check-constraints"],
+)
+def test_unusable_tolerance_is_input_error(command, config, tolerance, config_for, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([command, "--config", config_for(config), "--out", str(out), f"--tolerance={tolerance}"])
+    assert code == 2
+    assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+    assert not (out / "report.jsonl").exists()
+
+
+def test_zero_tolerance_is_accepted(config_for, tmp_path):
+    out = tmp_path / "out"
+    args = ["--config", config_for(SAMPLED), "--out", str(out), "--tolerance", "0"]
+    assert main(["check-canonical", *args]) == 0
+    assert read_report(out)[0]["tolerance"] == 0.0
