@@ -73,6 +73,14 @@ def _check_same_n(owner: str, n: int, other: str, m: int) -> None:
         raise InputError(f"{owner} has n={n} but {other} has n={m}")
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN if any is NaN.  Python's ``max`` keeps
+    its first argument when a comparison is false, so it drops a NaN."""
+    if any(residual != residual for residual in residuals):
+        return math.nan
+    return max(residuals)
+
+
 def _as_vector(values, n: int, role: str) -> np.ndarray:
     out = np.asarray(values, dtype=float)
     if out.ndim == 0:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundle import JetPoint, VerticalPhasePoint, HomogeneousPhasePoint, p_names, v_names, y_names
+from .bundle import JetPoint, VerticalPhasePoint, HomogeneousPhasePoint, _worst, p_names, v_names, y_names
 from .config import DEFAULT_SEED, SystemConfig, load_config
 from .constraints import (
     ASSOCIATION_TOLERANCE,
@@ -78,9 +78,12 @@ def _trajectory_command(out_dir: str, header: Sequence[str], traj) -> int:
 
 
 def _write_report(path: str, records: Sequence[dict]) -> None:
+    """Strict JSON lines: a non-finite residual is the text float() reads back."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            if not math.isfinite(record["max_residual"]):
+                record = {**record, "max_residual": repr(record["max_residual"])}
+            handle.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _report_command(out_dir: str, records: Sequence[dict]) -> int:
@@ -311,8 +314,8 @@ def cmd_check_constraints(config: SystemConfig, args, out_dir: str) -> int:
     tangency_max = 0.0
     for t, state in zip(traj.times, traj.states):
         q = VerticalPhasePoint(t, state[: config.n], state[config.n :])
-        constraint_max = max(constraint_max, float(np.max(np.abs(space.residual(q)))))
-        tangency_max = max(tangency_max, float(np.max(np.abs(tangency_residual(L, H, q)))))
+        constraint_max = _worst(constraint_max, float(np.max(np.abs(space.residual(q)))))
+        tangency_max = _worst(tangency_max, float(np.max(np.abs(tangency_residual(L, H, q)))))
 
     records = [
         _record("constrained-flow", flow.max_residual, tolerance),

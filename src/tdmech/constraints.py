@@ -21,6 +21,7 @@ from .bundle import (
     RepeatedJetPoint,
     VerticalPhasePoint,
     _check_same_n,
+    _worst,
     jet_bindings,
     phase_bindings,
     phase_vars,
@@ -110,7 +111,7 @@ class AssociationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.map_residual, self.energy_residual)
+        return _worst(self.map_residual, self.energy_residual)
 
     @property
     def passed(self) -> bool:
@@ -142,7 +143,7 @@ def association_check(
     for j in jets:
         once = legendre_map(L, j)
         again = legendre_map(L, hamiltonian_map(H, once))
-        worst_map = max(worst_map, float(np.max(np.abs(again.p - once.p))))
+        worst_map = _worst(worst_map, float(np.max(np.abs(again.p - once.p))))
 
     worst_energy = 0.0
     for q in phases:
@@ -151,7 +152,7 @@ def association_check(
         left = float(q.p @ velocities) - h_val
         jet = JetPoint(q.t, q.y, velocities)
         right = L.expr.evaluate(jet_bindings(jet))
-        worst_energy = max(worst_energy, abs(left - right))
+        worst_energy = _worst(worst_energy, abs(left - right))
 
     return AssociationReport(worst_map, worst_energy, float(tolerance))
 
@@ -205,7 +206,7 @@ def constrained_hamilton_residual(
         q = VerticalPhasePoint(t, state[:n], state[n:])
         g = _ConstraintGradients(constraints.lagrangian, H, q)
         defect = float(np.max(np.abs(g.values)))
-        if defect > tolerance:
+        if not defect <= tolerance:
             raise OffShellTrajectory(
                 f"sample {row} at t={t} leaves the constraint space by {defect:.3e}"
             )
@@ -213,7 +214,7 @@ def constrained_hamilton_residual(
         err = rate - field(float(t), state.tolist())
         for direction in basis:
             paired = abs(float(direction[:n] @ err[n:] - direction[n:] @ err[:n]))
-            worst = max(worst, paired)
+            worst = _worst(worst, paired)
     return ConstrainedFlowReport(worst, float(tolerance), traj.n_samples)
 
 

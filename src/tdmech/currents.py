@@ -112,7 +112,7 @@ def weak_identity_residual(
         y, v = state[:n], state[n:]
         d = _Derivatives(L, t, y, v)
         defect = float(np.max(np.abs(_el_residual_with_rates(d, v, accelerations[k]))))
-        if defect > ON_SHELL_TOLERANCE:
+        if not defect <= ON_SHELL_TOLERANCE:
             raise OffShellTrajectory(
                 f"sample {k} at t={t} violates the equations of motion by {defect:.3e}"
             )

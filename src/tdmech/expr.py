@@ -27,13 +27,12 @@ generates.  The output sets are the value and gradient, the value,
 gradient and Hessian, and two sets for the flows: the Hamilton vector
 field ``(dH/dp, -dH/dy)`` over ``(t, y, p)``, and a Lagrangian's value,
 gradient and the ``tv``, ``yv`` and ``vv`` Hessian blocks over
-``(t, y, v)``.  The generated code is the fast path.  Walking the trees
-with the float evaluator is the reference that code matches bit for bit
-(a NaN's sign and payload aside), and the error path: when the generated
-code fails, the walk runs again at the same point and raises the typed
-error naming the failing subtree.  Integer exponents are expanded by
-repeated multiplication, so negative bases are fine there; any other
-exponent requires a positive base.  Central finite differences live at
+``(t, y, v)``; :meth:`Expression.evaluate` compiles the value alone.
+Generated code is the only evaluator: each statement records the node it
+computes, and statements run depth first, so the line that fails names the
+first failing subtree in the typed error (:class:`DomainError`).  Integer exponents are
+expanded by repeated multiplication, so negative bases are fine there; any
+other exponent requires a positive base.  Central finite differences live at
 the bottom of this module as an independent cross-check of the derivative
 trees and share no code with them.
 """
@@ -212,7 +211,7 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # How deep the parser nests, counting each operator, function call and pair
 # of parentheses as one level.  Every tree walker here recurses once per
 # level, and a second derivative tree is up to about seven times as deep as
-# the tree it comes from, so this keeps _collect_vars, to_source, _eval,
+# the tree it comes from, so this keeps _collect_vars, to_source,
 # _derivative and the code writer inside Python's default recursion limit.
 _MAX_DEPTH = 100
 
@@ -367,8 +366,12 @@ class Expression:
 
     def evaluate(self, bindings: Mapping[str, float]) -> float:
         """Evaluate at a point.  Extra bindings are ignored."""
-        env = {name: float(value) for name, value in bindings.items()}
-        return _eval(self.root, env)
+        function, params = _generated(self, (), False)
+        arguments = _arguments(params, bindings)
+        try:
+            return function(*arguments)[0]
+        except _GENERATED_ERRORS as exc:
+            raise _typed_error(function, exc) from None
 
     def gradient(self, variables: Sequence[str], bindings: Mapping[str, float]) -> np.ndarray:
         """Exact first derivatives with respect to ``variables`` at a point."""
@@ -428,13 +431,6 @@ _UNARY_TABLE: dict[str, Callable[[float], float]] = {
 }
 
 
-def _apply_unary(op: str, x: float, node: Node) -> float:
-    try:
-        return _UNARY_TABLE[op](x)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"{op}: {exc}", to_source(node)) from None
-
-
 #: Largest ``|n|`` that ``_int_pow`` multiplies out left to right.
 _MULTIPLY_LIMIT = 1024
 
@@ -468,56 +464,13 @@ def _int_pow(base: float, n: int) -> float:
     return 1.0 / acc if n < 0 else acc
 
 
-def _pow(base: float, exponent: float, node: Node) -> float:
-    # An integer exponent selects repeated multiplication, valid for any base.
-    if _integer_exponent(exponent):
-        try:
-            return _int_pow(base, int(exponent))
-        except ZeroDivisionError:
-            raise DomainError("negative power of zero", to_source(node)) from None
-    if base <= 0.0:
-        raise DomainError("non-integer exponent requires a positive base", to_source(node))
-    log_base = _apply_unary("log", base, node)
-    return _apply_unary("exp", exponent * log_base, node)
-
-
-def _eval(node: Node, env: Mapping[str, float]) -> float:
-    cls = node.__class__
-    if cls is Var:
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariableError(node.name) from None
-    if cls is Const:
-        return node.value
-    if cls is Unary:
-        x = _eval(node.arg, env)
-        if node.op == "neg":
-            return -x
-        return _apply_unary(node.op, x, node)
-    left = _eval(node.left, env)
-    op = node.op
-    if op == "^":
-        return _pow(left, _eval(node.right, env), node)
-    right = _eval(node.right, env)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
+def _arguments(params: Sequence[str], bindings: Mapping[str, float]) -> list[float]:
+    """``float`` of each parameter's binding, in order; the first one missing
+    is an :class:`UnboundVariableError`, and other bindings are not read."""
     try:
-        return left / right
-    except ZeroDivisionError:
-        raise DomainError("division by zero", to_source(node)) from None
-
-
-def _derivative_env(variables: Sequence[str], bindings: Mapping[str, float]) -> dict[str, float]:
-    env = {name: float(value) for name, value in bindings.items()}
-    for name in variables:
-        if name not in env:
-            raise UnboundVariableError(name)
-    return env
+        return [float(bindings[name]) for name in params]
+    except KeyError:
+        raise UnboundVariableError(next(name for name in params if name not in bindings)) from None
 
 
 def _trees(expr: Expression, variables: tuple[str, ...], hessian: bool) -> list:
@@ -538,10 +491,11 @@ def _trees(expr: Expression, variables: tuple[str, ...], hessian: bool) -> list:
 
 
 class _NonPositiveBase(Exception):
-    """Raised by generated code where ``_pow`` raises :class:`DomainError`."""
+    """Raised by ``_pow`` for a non-integer exponent of a base <= 0."""
 
 
-def _generated_pow(base: float, exponent: float) -> float:
+def _pow(base: float, exponent: float) -> float:
+    # An integer exponent selects repeated multiplication, valid for any base.
     if _integer_exponent(exponent):
         return _int_pow(base, int(exponent))
     if base <= 0.0:
@@ -549,10 +503,9 @@ def _generated_pow(base: float, exponent: float) -> float:
     return math.exp(exponent * math.log(base))
 
 
-# Everything generated code can fail with; the tree walk then re-raises it
-# as the typed error.  KeyError is a variable missing from the bindings.
-_GENERATED_ERRORS = (ArithmeticError, ValueError, _NonPositiveBase, KeyError)
-_GENERATED_GLOBALS = {"__builtins__": {}, "pow_": _generated_pow, **_UNARY_TABLE}
+# Everything generated code can fail with; _typed_error types each one.
+_GENERATED_ERRORS = (ArithmeticError, ValueError, _NonPositiveBase)
+_GENERATED_GLOBALS = {"__builtins__": {}, "pow_": _pow, **_UNARY_TABLE}
 
 
 class _CodeWriter:
@@ -568,6 +521,7 @@ class _CodeWriter:
 
     def __init__(self, variables: Sequence[str] = ()):
         self.lines: list[str] = []
+        self.nodes: list[Node] = []  # the node each line computes
         # variable name -> parameter
         self.params: dict[str, str] = {name: f"x{i}" for i, name in enumerate(variables)}
         self.constants: dict[str, object] = {}  # global name -> value
@@ -598,26 +552,26 @@ class _CodeWriter:
                 self.constants[text] = value
         elif cls is Unary:
             arg = self.operand(node.arg)
-            text = self.assign(f"-{arg}" if node.op == "neg" else f"{node.op}({arg})")
+            text = self.assign(f"-{arg}" if node.op == "neg" else f"{node.op}({arg})", node)
         else:
-            # Both children come first, as in _eval, so a failing base is
+            # Both children come first, depth first, so a failing base is
             # evaluated even where the power itself folds to a constant.
             left = self.operand(node.left)
             right = self.operand(node.right)
             if node.op != "^":
-                text = self.assign(f"{left}{node.op}{right}")
+                text = self.assign(f"{left}{node.op}{right}", node)
             else:
-                text = self.power(left, node.right, right)
+                text = self.power(left, node.right, right, node)
         self.done[id(node)] = text
         return text
 
-    def power(self, base: str, exponent: Node, exponent_text: str) -> str:
+    def power(self, base: str, exponent: Node, exponent_text: str, node: Binary) -> str:
         if (
             exponent.__class__ is not Const
             or not _integer_exponent(exponent.value)
             or abs(exponent.value) > _MULTIPLY_LIMIT
         ):
-            return self.assign(f"pow_({base},{exponent_text})")
+            return self.assign(f"pow_({base},{exponent_text})", node)
         # _int_pow unrolled: the same products in the same order.
         n = int(exponent.value)
         if n == 0:
@@ -625,13 +579,14 @@ class _CodeWriter:
         if n == 1:
             return base
         product = "*".join([base] * abs(n))
-        return self.assign(product if n > 0 else f"1.0/({product})")
+        return self.assign(product if n > 0 else f"1.0/({product})", node)
 
-    def assign(self, rhs: str) -> str:
+    def assign(self, rhs: str, node: Node) -> str:
         name = self.locals.get(rhs)
         if name is None:
             name = self.locals[rhs] = f"t{len(self.locals)}"
             self.lines.append(f"    {name} = {rhs}")
+            self.nodes.append(node)
         return name
 
 
@@ -648,16 +603,32 @@ def _compile(variables: tuple[str, ...], outputs: tuple):
     source = "\n".join([f"def generated({params}):", *writer.lines, f"    return {result}"])
     namespace = {**_GENERATED_GLOBALS, **writer.constants}
     exec(compile(source, "<generated>", "exec"), namespace)
-    return namespace["generated"], tuple(writer.params)
+    function = namespace["generated"]
+    function.nodes = writer.nodes  # line k + 2 of <generated> computes nodes[k]
+    return function, tuple(writer.params)
 
 
-def _walk(outputs, env: Mapping[str, float]) -> list:
-    """The generated function's result by the tree walk, in the same order.
+def _typed_error(function, exc: Exception) -> Exception:
+    """The typed error for ``exc``, raised inside the generated ``function``.
 
-    This is the reference the generated code must match, and the error
-    path: it raises the typed errors that name the failing subtree.
+    The traceback's line in ``function`` is the failing statement, and so
+    the node it computes: the first subtree whose evaluation fails, since
+    statements run depth first.  Any other exception comes back unchanged.
     """
-    return [_eval(out, env) if isinstance(out, Node) else _walk(out, env) for out in outputs]
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code is not function.__code__:
+        tb = tb.tb_next
+    node = function.nodes[tb.tb_lineno - 2]
+    if isinstance(exc, ZeroDivisionError):
+        message = "division by zero" if node.op == "/" else "negative power of zero"
+    elif isinstance(exc, _NonPositiveBase):
+        message = "non-integer exponent requires a positive base"
+    elif isinstance(exc, (ValueError, OverflowError)):
+        # A function's domain or range error, or exp's inside a power.
+        message = f"{'exp' if node.op == '^' else node.op}: {exc}"
+    else:
+        return exc
+    return DomainError(message, to_source(node))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +680,8 @@ def _lagrangian_block_set(expr: Expression, variables: tuple[str, ...]) -> tuple
 
 # The second element of a compiled function's key in ``_derivative_trees``,
 # the first being the variables tuple.  False and True are the sets of
-# value_gradient and value_gradient_hessian.
+# value_gradient and value_gradient_hessian; evaluate's is False over no
+# variables, the value alone.
 _OUTPUT_SETS = {
     False: _gradient_set,
     True: _hessian_set,
@@ -733,17 +705,16 @@ def _flow_function(expr: Expression, variables: tuple[str, ...], output_set) -> 
 
     ``t`` is the first variable and ``state`` holds the others in order, as
     Python floats; ``expr`` may use no variable outside ``variables``.  The
-    generated code runs directly; when it fails, the tree walk runs at the
-    same point and raises the typed error naming the failing subtree.
+    generated code runs directly; when it fails, the typed error names the
+    failing subtree.
     """
     function, _ = _generated(expr, variables, output_set)
 
     def evaluate(t: float, state) -> list:
         try:
             return function(t, *state)
-        except _GENERATED_ERRORS:
-            outputs = _OUTPUT_SETS[output_set](expr, variables)
-            return _walk(outputs, dict(zip(variables, (t, *state))))
+        except _GENERATED_ERRORS as exc:
+            raise _typed_error(function, exc) from None
 
     return evaluate
 
@@ -756,19 +727,14 @@ def _as_arrays(result: list, k: int) -> tuple:
     return value, grad, np.array(result[2], dtype=float).reshape(k, k)
 
 
-def _evaluate_trees(expr: Expression, variables: tuple[str, ...], env, hessian: bool) -> tuple:
-    """Value, gradient and (if asked) Hessian by walking the derivative trees."""
-    return _as_arrays(_walk(_OUTPUT_SETS[hessian](expr, variables), env), len(variables))
-
-
 def _derivatives(expr: Expression, variables: Sequence[str], bindings: Mapping[str, float], hessian: bool):
     variables = tuple(variables)
-    env = _derivative_env(variables, bindings)
     function, params = _generated(expr, variables, hessian)
+    arguments = _arguments(params, bindings)
     try:
-        result = function(*[env[name] for name in params])
-    except _GENERATED_ERRORS:
-        result = _walk(_OUTPUT_SETS[hessian](expr, variables), env)
+        result = function(*arguments)
+    except _GENERATED_ERRORS as exc:
+        raise _typed_error(function, exc) from None
     return _as_arrays(result, len(variables))
 
 

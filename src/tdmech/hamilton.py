@@ -23,6 +23,7 @@ from .bundle import (
     VerticalTangent,
     _check_same_n,
     _field_jacobian,
+    _worst,
     check_free_vars,
     p_names,
     phase_bindings,
@@ -183,7 +184,7 @@ class CanonicalReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.coordinate_residual, self.momentum_residual, self.pairing_residual)
+        return _worst(self.coordinate_residual, self.momentum_residual, self.pairing_residual)
 
     @property
     def passed(self) -> bool:
@@ -222,7 +223,7 @@ def canonical_check(
     worst = [0.0, 0.0, 0.0]
     for q in points:
         residuals = canonical_relation_residuals(transform, q)
-        worst = [max(w, r) for w, r in zip(worst, residuals)]
+        worst = [_worst(w, r) for w, r in zip(worst, residuals)]
     return CanonicalReport(worst[0], worst[1], worst[2], float(tolerance))
 
 
@@ -237,7 +238,7 @@ class GeneratingFunctionReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.position_residual, self.momentum_residual, self.energy_residual)
+        return _worst(self.position_residual, self.momentum_residual, self.energy_residual)
 
     @property
     def passed(self) -> bool:
@@ -282,9 +283,9 @@ def generating_function_residual(
         h_after = H_new.expr.evaluate(phase_bindings(image))
         r_energy = (h_after - h_before) - (float(p_new @ y_jac[:, 0]) - s_grad[0])
 
-        worst[0] = max(worst[0], float(np.max(np.abs(r_pos))))
-        worst[1] = max(worst[1], float(np.max(np.abs(r_mom))))
-        worst[2] = max(worst[2], abs(r_energy))
+        worst[0] = _worst(worst[0], float(np.max(np.abs(r_pos))))
+        worst[1] = _worst(worst[1], float(np.max(np.abs(r_mom))))
+        worst[2] = _worst(worst[2], abs(r_energy))
     return GeneratingFunctionReport(worst[0], worst[1], worst[2], float(tolerance))
 
 

@@ -421,6 +421,49 @@ def test_unusable_tolerance_is_input_error(command, config, tolerance, config_fo
     assert not (out / "report.jsonl").exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_strict_report(out_dir):
+    lines = (out_dir / "report.jsonl").read_text().splitlines()
+    return {
+        record["check"]: record
+        for record in (json.loads(line, parse_constant=_reject_constant) for line in lines)
+    }
+
+
+@pytest.mark.parametrize(
+    "y1, p1, residual",
+    [("y1 + 0*(1e308*10)*p1", "p1", "nan"), ("1e200*y1", "1e200*p1", "inf")],
+    ids=["nan", "inf"],
+)
+def test_non_finite_canonical_residual_fails_as_strict_json(y1, p1, residual, config_for, tmp_path, capsys):
+    # 0*(1e308*10) is 0*inf, NaN; 1e200*1e200 overflows to inf.
+    text = f'[system]\nn = 1\n\n[transform.bad]\ny1 = "{y1}"\np1 = "{p1}"\n'
+    out = tmp_path / "out"
+    assert main(["check-canonical", "--config", config_for(text), "--out", str(out)]) == 1
+    record = read_strict_report(out)["canonical:bad"]
+    assert (record["max_residual"], record["pass"]) == (residual, False)
+    assert f"canonical:bad: FAIL (max_residual={residual}," in capsys.readouterr().out
+
+
+def test_nan_association_residual_fails_as_strict_json(config_for, tmp_path, capsys):
+    text = (
+        "[system]\nn = 1\n"
+        'lagrangian = "0.5*v1^2"\nhamiltonian = "0.5*p1^2 + 0*(1e308*10)*y1"\n'
+    )
+    out = tmp_path / "out"
+    assert main(["check-association", "--config", config_for(text), "--out", str(out)]) == 1
+    records = read_strict_report(out)
+    assert records["association-map"]["pass"]
+    assert (records["association-energy"]["max_residual"], records["association-energy"]["pass"]) == (
+        "nan",
+        False,
+    )
+    assert "association-energy: FAIL (max_residual=nan," in capsys.readouterr().out
+
+
 def test_zero_tolerance_is_accepted(config_for, tmp_path):
     out = tmp_path / "out"
     args = ["--config", config_for(SAMPLED), "--out", str(out), "--tolerance", "0"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,18 @@ class TestAssociationCheck:
         with pytest.raises(InputError):
             association_check(FLAT_L, FLAT_H, [], phase_points(rng, 1))
 
+    def test_nan_energy_residual_fails(self, rng):
+        # 0*(1e308*10) is 0*inf, NaN: H is NaN everywhere, its p-gradient is not.
+        H = HamiltonianForm.parse("0.5*p1^2 + 0*(1e308*10)*y1", 1)
+        report = association_check(FLAT_L, H, jet_points(rng, 1), phase_points(rng, 1))
+        assert report.map_residual == 0.0
+        assert math.isnan(report.energy_residual) and math.isnan(report.max_residual)
+        assert not report.passed
+
+    def test_report_maximum_keeps_nan(self):
+        report = AssociationReport(0.0, math.nan, 1.0)
+        assert math.isnan(report.max_residual) and not report.passed
+
 
 class TestHamiltoniansAgreeOnConstraintSpace:
     def test_drift_family_members_match_on_image(self, rng):
@@ -207,6 +221,23 @@ class TestConstrainedHamiltonResidual:
         space = ConstraintSpace(DEGENERATE_L, H)
         path = linear_trajectory([1.0, 0.5], [2.0, 3.0], [2.0, 0.1])
         with pytest.raises(OffShellTrajectory):
+            constrained_hamilton_residual(H, space, path)
+
+    def test_nan_pairing_fails(self):
+        # -dH/dy1 is NaN, so every paired rate error is NaN.
+        H = HamiltonianForm.parse("0.5*p1^2 + p2*(3.0) + 0*(1e308*10)*y1", 2)
+        space = ConstraintSpace(DEGENERATE_L, H)
+        path = linear_trajectory([1.0, 0.5], [2.0, 3.0], [2.0, 0.0])
+        report = constrained_hamilton_residual(H, space, path)
+        assert math.isnan(report.max_residual)
+        assert not report.passed
+
+    def test_nan_constraint_defect_is_off_shell(self):
+        # dH/dp1 is NaN, so the velocity map and the constraint values are.
+        H = HamiltonianForm.parse("0.5*p1^2 + p2*(3.0) + 0*(1e308*10)*p1", 2)
+        space = ConstraintSpace(DEGENERATE_L, H)
+        path = linear_trajectory([1.0, 0.5], [2.0, 3.0], [2.0, 0.0])
+        with pytest.raises(OffShellTrajectory, match="sample 0 "):
             constrained_hamilton_residual(H, space, path)
 
     def test_hamilton_solution_on_constraint_passes(self):

@@ -170,6 +170,16 @@ def test_off_shell_trajectory_rejected():
         weak_identity_residual(OSC, 0.0, (parse("1"),), fake)
 
 
+def test_nan_equation_of_motion_defect_is_off_shell():
+    # dL/dy1 = 0*(1e308*10) is 0*inf, NaN, at every sample.
+    L = Lagrangian.parse("0.5*v1^2 + 0*(1e308*10)*y1", 1)
+    times = 1e-2 * np.arange(101)
+    states = np.column_stack([2.0 * times, np.full(101, 2.0)])
+    traj = Trajectory("jet", times, states, 1e-2)
+    with pytest.raises(OffShellTrajectory, match="sample 0 "):
+        weak_identity_residual(L, 0.0, (parse("1"),), traj)
+
+
 def test_phase_trajectory_rejected():
     traj = integrate_hamilton(OSC_H, phase(0.0, 1.0, 0.0), 1.0, 1e-3)
     with pytest.raises(InputError):

@@ -21,7 +21,6 @@ from tdmech.expr import (
     Unary,
     Var,
     _CodeWriter,
-    _evaluate_trees,
     differentiate,
     expression,
     fd_gradient,
@@ -31,6 +30,7 @@ from tdmech.expr import (
     value_gradient,
     value_gradient_hessian,
 )
+from treewalk import _eval, _evaluate_trees
 
 
 class TestParsing:
@@ -460,6 +460,51 @@ class TestCompiledMatchesTrees:
             writer.operand(tree)
         assert sum("sin(" in line for line in writer.lines) == 1
         assert sum("cos(" in line for line in writer.lines) == 1
+
+
+
+class TestEvaluateMatchesTheWalk:
+    """``Expression.evaluate`` runs generated code; the walk is the oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(root=_random_trees, point=_points)
+    def test_bit_identical_or_same_error(self, root, point):
+        compiled = _outcome(lambda: [expression(root).evaluate(point)])
+        reference = _outcome(lambda: [_eval(root, dict(point))])
+        assert compiled == reference
+
+    def test_unbound_variable_comes_before_a_domain_error(self):
+        # The walk stopped at log(-1) before it reached y2.
+        with pytest.raises(UnboundVariableError, match="'y2'"):
+            parse("log(y1) + y2").evaluate({"y1": -1.0})
+        with pytest.raises(UnboundVariableError, match="'y2'"):
+            value_gradient(parse("log(y1)*y2"), ("y1",), {"y1": -1.0})
+
+    def test_extra_bindings_are_not_converted(self):
+        assert parse("2*y1").evaluate({"y1": 1.5, "label": "not a number"}) == 3.0
+
+    def test_first_missing_variable_is_named(self):
+        with pytest.raises(UnboundVariableError, match="'y1'"):
+            parse("y1 + y2*y3").evaluate({})
+        # Differentiation variables first, used or not, as before.
+        with pytest.raises(UnboundVariableError, match="'y1'"):
+            value_gradient(parse("y3*y2"), ("y1", "y2"), {})
+
+    @pytest.mark.parametrize(
+        "source, x, message",
+        [
+            ("1/y1", 0.0, "division by zero in '1.0/y1'"),
+            ("sin(y1) + log(y1)", -1.0, "log: math domain error in 'log(y1)'"),
+            ("y1^-2", 0.0, "negative power of zero in 'y1^(-2.0)'"),
+            ("y1^0.5", -1.0, "non-integer exponent requires a positive base in 'y1^0.5'"),
+            ("y1^2.5", 1e300, "exp: math range error in 'y1^2.5'"),
+            ("exp(y1)^0.5", 1000.0, "exp: math range error in 'exp(y1)'"),
+        ],
+    )
+    def test_domain_errors_name_the_failing_subtree(self, source, x, message):
+        with pytest.raises(DomainError) as info:
+            parse(source).evaluate({"y1": x})
+        assert str(info.value) == message
 
 
 class TestDepthCap:

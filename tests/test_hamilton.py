@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from tdmech.bundle import (
 from tdmech.errors import InputError, IntegrationBlowup
 from tdmech.expr import parse
 from tdmech.hamilton import (
+    CanonicalReport,
     CanonicalTransform,
+    GeneratingFunctionReport,
     HamiltonianForm,
     canonical_check,
     canonical_from_automorphism,
@@ -200,6 +204,21 @@ class TestCanonicalCheck:
         with pytest.raises(InputError):
             canonical_check(CanonicalTransform.identity(1), [])
 
+    def test_nan_residual_fails(self, rng):
+        # 0*(1e308*10) is 0*inf, NaN: dy1'/dp1 is NaN everywhere.
+        T = CanonicalTransform.parse(["y1 + 0*(1e308*10)*p1"], ["p1"])
+        yy, pp, pairing = canonical_relation_residuals(T, VerticalPhasePoint(0.0, [0.5], [0.5]))
+        assert math.isnan(yy) and pp == 0.0 and math.isnan(pairing)
+        report = canonical_check(T, phase_samples(rng, 1))
+        assert math.isnan(report.coordinate_residual) and report.momentum_residual == 0.0
+        assert math.isnan(report.pairing_residual) and math.isnan(report.max_residual)
+        assert not report.passed
+
+    def test_report_maximum_keeps_nan(self):
+        report = CanonicalReport(0.0, math.nan, 0.5, 1.0)
+        assert math.isnan(report.max_residual) and not report.passed
+        assert CanonicalReport(0.0, 0.25, 0.5, 1.0).max_residual == 0.5
+
 
 class TestCanonicalFromAutomorphism:
     @pytest.mark.parametrize(
@@ -255,6 +274,19 @@ class TestGeneratingFunction:
         assert report.momentum_residual == 0.0
         assert report.energy_residual == pytest.approx(1.0)
         assert not report.passed
+
+    def test_nan_residual_fails(self, rng):
+        T = CanonicalTransform.identity(1)
+        H = HamiltonianForm.parse("p1^2/2", 1)
+        S = parse("0*(1e308*10)*y1")  # dS/dy1 is NaN
+        report = generating_function_residual(T, S, H, H, phase_samples(rng, 1))
+        assert math.isnan(report.position_residual) and math.isnan(report.max_residual)
+        assert (report.momentum_residual, report.energy_residual) == (0.0, 0.0)
+        assert not report.passed
+
+    def test_report_maximum_keeps_nan(self):
+        report = GeneratingFunctionReport(0.0, 0.5, math.nan, 1.0)
+        assert math.isnan(report.max_residual) and not report.passed
 
 
 class TestPhaseSpaceLagrangian:

@@ -19,10 +19,10 @@ from tdmech.errors import (
     IntegrationBlowup,
     SingularLagrangian,
 )
-from tdmech.expr import _evaluate_trees
 from tdmech.hamilton import HamiltonianForm, integrate_hamilton
 from tdmech.integrate import _SAMPLE_BUDGET, Trajectory, rk4_path, rk4_to, step_count
 from tdmech.lagrange import Lagrangian, integrate_lagrange
+from treewalk import _evaluate_trees
 
 # ---------------------------------------------------------------------------
 # Reference: classical RK4 on numpy arrays, with right-hand sides that walk
